@@ -565,7 +565,7 @@ impl NodeRunner<'_> {
                 };
                 let value = Arc::new(value);
                 let output_bytes = value.byte_size();
-                self.cache.put(id.0, Arc::clone(&value));
+                self.cache.put(id.0, Arc::clone(&value), output_bytes);
                 self.memory.record(self.cache.resident_bytes());
                 Ok(NodeSuccess {
                     value,
@@ -657,7 +657,7 @@ impl NodeRunner<'_> {
                 }
                 let value = Arc::new(result?);
                 let output_bytes = value.byte_size();
-                self.cache.put(id.0, Arc::clone(&value));
+                self.cache.put(id.0, Arc::clone(&value), output_bytes);
                 self.memory.record(self.cache.resident_bytes());
                 Ok(NodeSuccess {
                     value,

@@ -45,8 +45,13 @@ impl ValueCache {
 
     /// Insert (or replace) the value for a node.
     pub fn put(&mut self, node: u32, value: Arc<Value>) {
-        self.clock += 1;
         let bytes = value.byte_size();
+        self.insert(node, value, bytes);
+    }
+
+    /// [`put`](Self::put) with the value's `byte_size()` already known.
+    fn insert(&mut self, node: u32, value: Arc<Value>, bytes: u64) {
+        self.clock += 1;
         if let Some(old) = self.slots.insert(node, Slot { value, bytes, last_touch: self.clock }) {
             self.bytes -= old.bytes;
         }
@@ -171,11 +176,14 @@ impl SharedValueCache {
         &shards[node as usize % SHARD_COUNT]
     }
 
-    /// Insert (or replace) the value for a node.
-    pub fn put(&self, node: u32, value: Arc<Value>) {
+    /// Insert (or replace) the value for a node. `size` must be
+    /// `value.byte_size()`: the engine needs that figure for its own
+    /// accounting anyway, and walking a large collection twice per
+    /// insert is measurable on the load path.
+    pub fn put(&self, node: u32, value: Arc<Value>, size: u64) {
+        debug_assert_eq!(size, value.byte_size(), "cache put with a stale size");
         match &self.inner {
             SharedImpl::Sharded { shards, bytes, count } => {
-                let size = value.byte_size();
                 let mut shard = Self::shard(shards, node).lock().unwrap();
                 if let Some((_, old)) = shard.insert(node, (value, size)) {
                     bytes.fetch_sub(old, Ordering::Relaxed);
@@ -184,7 +192,7 @@ impl SharedValueCache {
                 }
                 bytes.fetch_add(size, Ordering::Relaxed);
             }
-            SharedImpl::Locked(cache) => cache.lock().unwrap().put(node, value),
+            SharedImpl::Locked(cache) => cache.lock().unwrap().insert(node, value, size),
         }
     }
 
@@ -275,6 +283,11 @@ mod tests {
         Arc::new(Value::Scalar(Scalar::Text("x".repeat(bytes))))
     }
 
+    fn shared_put(cache: &SharedValueCache, node: u32, value: Arc<Value>) {
+        let size = value.byte_size();
+        cache.put(node, value, size);
+    }
+
     #[test]
     fn put_get_evict_accounting() {
         let mut cache = ValueCache::new(CachePolicy::Eager);
@@ -331,14 +344,14 @@ mod tests {
     fn shared_cache_matches_value_cache_semantics() {
         let cache = SharedValueCache::new(CachePolicy::Eager);
         assert!(cache.is_empty());
-        cache.put(1, value_of_size(100));
-        cache.put(2, value_of_size(200));
+        shared_put(&cache, 1, value_of_size(100));
+        shared_put(&cache, 2, value_of_size(200));
         assert_eq!(cache.len(), 2);
         assert!(cache.contains(1));
         let before = cache.resident_bytes();
         assert!(before >= 300);
         // Replacement adjusts accounting.
-        cache.put(1, value_of_size(10));
+        shared_put(&cache, 1, value_of_size(10));
         assert!(cache.resident_bytes() < before);
         assert_eq!(cache.len(), 2);
         let freed = cache.evict(1);
@@ -354,10 +367,10 @@ mod tests {
     #[test]
     fn shared_cache_lru_falls_back_to_locked_value_cache() {
         let cache = SharedValueCache::new(CachePolicy::Lru { budget_bytes: 2_200 });
-        cache.put(1, value_of_size(1000));
-        cache.put(2, value_of_size(1000));
+        shared_put(&cache, 1, value_of_size(1000));
+        shared_put(&cache, 2, value_of_size(1000));
         cache.get(1);
-        cache.put(3, value_of_size(1000));
+        shared_put(&cache, 3, value_of_size(1000));
         assert!(cache.contains(1), "recently used survives");
         assert!(!cache.contains(2), "LRU victim evicted");
         assert!(cache.contains(3));
@@ -372,7 +385,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200u32 {
                         let node = t * 1_000 + i;
-                        cache.put(node, value_of_size(10));
+                        shared_put(&cache, node, value_of_size(10));
                         assert!(cache.get(node).is_some());
                         if i % 2 == 0 {
                             cache.evict(node);

@@ -1237,14 +1237,21 @@ impl MaterializationCatalog {
         {
             let mut inner = self.inner.lock();
             let mut claim: Option<u64> = None;
+            let mut drifted = false;
             if let Some(entry) = inner.entries.get_mut(&sig) {
+                drifted = entry.measured_load_nanos != Some(load_nanos);
                 entry.measured_load_nanos = Some(load_nanos);
                 if !entry.is_owned_by(owner) {
                     entry.add_owner(owner);
                     claim = Some(entry.bytes);
+                    drifted = true;
                 }
-                // Metadata drifted from the journal; persisted lazily at
-                // the next commit (loads stay write-free).
+            }
+            // Metadata drifted from the journal; persisted lazily at the
+            // next commit (loads stay write-free). A repeat load by an
+            // owner changes nothing — `load_nanos` is deterministic — so
+            // it must not cost a journal frame either.
+            if drifted {
                 inner.dirty.insert(sig);
             }
             if let Some(bytes) = claim {
@@ -1284,10 +1291,9 @@ impl MaterializationCatalog {
                 true
             }
         };
-        if present {
-            inner.dirty.insert(sig);
-        }
         if let Some(bytes) = claim {
+            // Only a new claim drifts from the journal.
+            inner.dirty.insert(sig);
             inner.credit(&[owner.to_string()], bytes);
         }
         present
@@ -1315,9 +1321,10 @@ impl MaterializationCatalog {
         };
         if present {
             *inner.pins.entry(sig).or_insert(0) += 1;
-            inner.dirty.insert(sig);
         }
         if let Some(bytes) = claim {
+            // Pins are transient; only a new claim drifts from the journal.
+            inner.dirty.insert(sig);
             inner.credit(&[owner.to_string()], bytes);
         }
         present
@@ -2471,6 +2478,39 @@ mod tests {
         let marker = std::fs::metadata(root.join("format.version")).unwrap().len();
         assert_eq!(overhead, journal + marker);
         assert_eq!(stats.stranded_bytes, 0);
+    }
+
+    #[test]
+    fn repeat_loads_and_claims_by_an_owner_append_no_journal_frames() {
+        let cat = temp_catalog();
+        let root = cat.root().to_path_buf();
+        let sig = Signature::of_str("reused");
+        cat.store_owned(sig, "alice", "n", 0, &scalar(1.0)).unwrap();
+        let frames = || journal::scan_file(&root.join("catalog.journal")).unwrap().unwrap().frames;
+        // The first load records the measured load time: one frame.
+        let before_first = frames();
+        cat.load_for(sig, "alice").unwrap();
+        cat.commit_staged().unwrap();
+        assert_eq!(frames(), before_first + 1, "first load persists its metadata");
+        // Every later load (and plan-time claim) by the owner is a no-op.
+        let settled = frames();
+        for _ in 0..5 {
+            assert!(cat.claim_and_pin_if_present(sig, "alice"));
+            cat.unpin_many(&[sig]);
+            assert!(cat.claim_if_present(sig, "alice"));
+            cat.load_for(sig, "alice").unwrap();
+            cat.commit_staged().unwrap();
+        }
+        assert_eq!(frames(), settled, "repeat loads must not touch the journal");
+        // A new owner's claim is real drift and is persisted.
+        cat.load_for(sig, "bob").unwrap();
+        cat.commit_staged().unwrap();
+        assert_eq!(frames(), settled + 1);
+        drop(cat);
+        let reopened = MaterializationCatalog::open(&root, DiskProfile::unthrottled()).unwrap();
+        let entry = reopened.entry(sig).unwrap();
+        assert!(entry.measured_load_nanos.is_some());
+        assert!(entry.is_owned_by("alice") && entry.is_owned_by("bob"));
     }
 
     #[test]

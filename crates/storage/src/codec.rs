@@ -12,6 +12,22 @@
 //! The format is self-contained per artifact: no cross-file references,
 //! so a catalog entry can be loaded in a fresh process — exactly what
 //! cross-iteration reuse needs.
+//!
+//! Every reuse decodes a whole artifact, so the [`Reader`] is built for
+//! the read path without relaxing any check:
+//! - f64 slices (dense vectors, sparse values, model weights) are one
+//!   bounds check for the whole run followed by an exact-size collect
+//!   over 8-byte chunks; [`Writer`] writes them with one resize;
+//! - varints take a single-byte fast path (lengths and ids are almost
+//!   always < 128);
+//! - the hot getters are inlined and their error construction is
+//!   `#[cold]`, so the per-example decode loop is a straight run of
+//!   compares and loads; the slim examples inference leaves behind
+//!   (no features, label and prediction, no tag) match one fixed
+//!   22-byte pattern and are decoded with a single bounds check.
+//!
+//! The bytes are unchanged by any of this: the fast paths accept exactly
+//! what the field-by-field paths accept, and return the same value.
 
 use crate::frame::{self, FrameError, FrameKind};
 use helix_common::{HelixError, Result};
@@ -77,6 +93,16 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
+    /// A run of f64s with no length prefix: one resize for the whole run,
+    /// then fixed-width 8-byte stores (a plain copy on little-endian).
+    fn put_f64_run(&mut self, vs: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + vs.len() * 8, 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     fn put_bytes(&mut self, b: &[u8]) {
         self.put_varint(b.len() as u64);
         self.buf.extend_from_slice(b);
@@ -108,14 +134,23 @@ impl Writer {
 
     fn put_f64_slice(&mut self, vs: &[f64]) {
         self.put_varint(vs.len() as u64);
-        // One reservation for the whole slice: dense vectors and model
-        // weight matrices dominate artifact payloads, and growing the
-        // buffer 8 bytes at a time would reallocate log₂(n) times.
-        self.buf.reserve(vs.len() * 8);
-        for v in vs {
-            self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        self.put_f64_run(vs);
     }
+}
+
+// Error construction is kept out of line and marked cold so the hot
+// getters below stay small enough to inline into the decode loops.
+
+#[cold]
+#[inline(never)]
+fn malformed(detail: &'static str) -> HelixError {
+    HelixError::codec(detail)
+}
+
+#[cold]
+#[inline(never)]
+fn bad_tag(what: &'static str, tag: u8) -> HelixError {
+    HelixError::codec(format!("bad {what} tag {tag}"))
 }
 
 /// Cursor over encoded bytes with bounds and format checking.
@@ -130,20 +165,47 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    fn get_u8(&mut self) -> Result<u8> {
-        let b =
-            *self.buf.get(self.pos).ok_or_else(|| HelixError::codec("unexpected end of frame"))?;
-        self.pos += 1;
-        Ok(b)
+    /// The next `n` bytes, or `None` (position unchanged) when fewer
+    /// remain. The single bounds check behind every fixed-width read.
+    #[inline(always)]
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let out = self.buf.get(self.pos..end)?;
+        self.pos = end;
+        Some(out)
     }
 
+    #[inline(always)]
+    fn get_u8(&mut self) -> Result<u8> {
+        match self.buf.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(malformed("unexpected end of frame")),
+        }
+    }
+
+    #[inline(always)]
     fn get_varint(&mut self) -> Result<u64> {
+        // Lengths, counts and small ids are almost always < 128: one byte.
+        if let Some(&b) = self.buf.get(self.pos) {
+            if b < 0x80 {
+                self.pos += 1;
+                return Ok(b as u64);
+            }
+        }
+        self.get_varint_multi()
+    }
+
+    #[inline(never)]
+    fn get_varint_multi(&mut self) -> Result<u64> {
         let mut out: u64 = 0;
         let mut shift = 0u32;
         loop {
             let byte = self.get_u8()?;
             if shift >= 64 {
-                return Err(HelixError::codec("varint overflow"));
+                return Err(malformed("varint overflow"));
             }
             out |= ((byte & 0x7F) as u64) << shift;
             if byte & 0x80 == 0 {
@@ -158,15 +220,28 @@ impl<'a> Reader<'a> {
         Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
     }
 
+    #[inline(always)]
     fn get_f64(&mut self) -> Result<f64> {
-        if self.pos + 8 > self.buf.len() {
-            return Err(HelixError::codec("truncated f64"));
+        match self.take(8) {
+            Some(b) => Ok(f64::from_le_bytes(b.try_into().expect("took 8 bytes"))),
+            None => Err(malformed("truncated f64")),
         }
-        let bits = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().unwrap());
-        self.pos += 8;
-        Ok(f64::from_bits(bits))
     }
 
+    /// `n` f64s with no length prefix: one bounds check for the whole
+    /// run, then an exact-size collect over 8-byte chunks.
+    fn get_f64_run(&mut self, n: usize) -> Result<Vec<f64>> {
+        let bytes = n
+            .checked_mul(8)
+            .and_then(|len| self.take(len))
+            .ok_or_else(|| malformed("truncated f64 run"))?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
+            .collect())
+    }
+
+    #[inline(always)]
     fn get_len(&mut self, elem_floor: usize) -> Result<usize> {
         // Compare in u64 BEFORE any usize cast: on a 32-bit target a
         // corrupt declared length of 2^32 + k would otherwise truncate to
@@ -176,61 +251,62 @@ impl<'a> Reader<'a> {
         // elements that could possibly fit in the remaining bytes.
         let remaining = (self.buf.len() - self.pos) as u64;
         if elem_floor > 0 && len > remaining / elem_floor as u64 + 1 {
-            return Err(HelixError::codec(format!(
-                "declared length {len} exceeds remaining frame ({remaining} bytes)"
-            )));
+            return Err(len_exceeds(len, Some(remaining)));
         }
         if len > usize::MAX as u64 {
-            return Err(HelixError::codec(format!(
-                "declared length {len} exceeds the address space"
-            )));
+            return Err(len_exceeds(len, None));
         }
         Ok(len as usize)
     }
 
     fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.get_len(1)?;
-        if self.pos + len > self.buf.len() {
-            return Err(HelixError::codec("truncated byte field"));
-        }
-        let out = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
+        self.take(len).ok_or_else(|| malformed("truncated byte field"))
     }
 
     fn get_str(&mut self) -> Result<String> {
         let bytes = self.get_bytes()?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| HelixError::codec("invalid utf-8"))
+        String::from_utf8(bytes.to_vec()).map_err(|_| malformed("invalid utf-8"))
     }
 
+    #[inline(always)]
     fn get_opt_str(&mut self) -> Result<Option<String>> {
         match self.get_u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.get_str()?)),
-            t => Err(HelixError::codec(format!("bad option tag {t}"))),
+            t => Err(bad_tag("option", t)),
         }
     }
 
+    #[inline(always)]
     fn get_opt_f64(&mut self) -> Result<Option<f64>> {
         match self.get_u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.get_f64()?)),
-            t => Err(HelixError::codec(format!("bad option tag {t}"))),
+            t => Err(bad_tag("option", t)),
         }
     }
 
+    #[inline(always)]
     fn get_f64_vec(&mut self) -> Result<Vec<f64>> {
         let len = self.get_len(8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
+        self.get_f64_run(len)
     }
 
     fn finished(&self) -> bool {
         self.pos == self.buf.len()
     }
+}
+
+#[cold]
+#[inline(never)]
+fn len_exceeds(len: u64, remaining: Option<u64>) -> HelixError {
+    HelixError::codec(match remaining {
+        Some(remaining) => {
+            format!("declared length {len} exceeds remaining frame ({remaining} bytes)")
+        }
+        None => format!("declared length {len} exceeds the address space"),
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -241,9 +317,10 @@ fn put_split(w: &mut Writer, s: Split) {
     w.put_u8(s.to_byte());
 }
 
+#[inline(always)]
 fn get_split(r: &mut Reader) -> Result<Split> {
     let b = r.get_u8()?;
-    Split::from_byte(b).ok_or_else(|| HelixError::codec(format!("bad split byte {b}")))
+    Split::from_byte(b).ok_or_else(|| bad_tag("split", b))
 }
 
 fn put_field_value(w: &mut Writer, v: &FieldValue) {
@@ -270,7 +347,7 @@ fn get_field_value(r: &mut Reader) -> Result<FieldValue> {
         1 => FieldValue::Int(r.get_zigzag()?),
         2 => FieldValue::Float(r.get_f64()?),
         3 => FieldValue::Text(r.get_str()?),
-        t => return Err(HelixError::codec(format!("bad field-value tag {t}"))),
+        t => return Err(bad_tag("field-value", t)),
     })
 }
 
@@ -287,13 +364,12 @@ fn put_feature_vector(w: &mut Writer, v: &FeatureVector) {
             for i in indices {
                 w.put_varint(*i as u64);
             }
-            for v in values {
-                w.put_f64(*v);
-            }
+            w.put_f64_run(values);
         }
     }
 }
 
+#[inline(always)]
 fn get_feature_vector(r: &mut Reader) -> Result<FeatureVector> {
     Ok(match r.get_u8()? {
         0 => FeatureVector::Dense(r.get_f64_vec()?),
@@ -304,13 +380,10 @@ fn get_feature_vector(r: &mut Reader) -> Result<FeatureVector> {
             for _ in 0..nnz {
                 indices.push(r.get_varint()? as u32);
             }
-            let mut values = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                values.push(r.get_f64()?);
-            }
+            let values = r.get_f64_run(nnz)?;
             FeatureVector::Sparse { dim, indices, values }
         }
-        t => return Err(HelixError::codec(format!("bad feature-vector tag {t}"))),
+        t => return Err(bad_tag("feature-vector", t)),
     })
 }
 
@@ -375,7 +448,7 @@ fn get_bundle(r: &mut Reader) -> Result<FeatureBundle> {
             FeatureBundle::Tokens(ts)
         }
         4 => FeatureBundle::Empty,
-        t => return Err(HelixError::codec(format!("bad bundle tag {t}"))),
+        t => return Err(bad_tag("bundle", t)),
     })
 }
 
@@ -463,14 +536,50 @@ fn get_examples(r: &mut Reader) -> Result<ExampleBatch> {
     let n = r.get_len(4)?;
     let mut examples = Vec::with_capacity(n);
     for _ in 0..n {
-        let features = get_feature_vector(r)?;
-        let label = r.get_opt_f64()?;
-        let split = get_split(r)?;
-        let prediction = r.get_opt_f64()?;
-        let tag = r.get_opt_str()?;
-        examples.push(Example { features, label, split, prediction, tag });
+        examples.push(get_example(r)?);
     }
     Ok(ExampleBatch::new(space, examples))
+}
+
+/// Encoded length of a *slim* example — the shape inference leaves
+/// behind once features are dropped: dense tag, zero length, `Some`
+/// label, split, `Some` prediction, no tag.
+const SLIM_EXAMPLE_LEN: usize = 22;
+
+/// One example. Slim examples are recognised by their fixed byte
+/// pattern and decoded with one bounds check; anything else (or a
+/// pattern that does not match exactly) takes the field-by-field path.
+/// Both decode the same bytes to the same value.
+#[inline(always)]
+fn get_example(r: &mut Reader) -> Result<Example> {
+    if let Some(example) = get_slim_example(r) {
+        return Ok(example);
+    }
+    let features = get_feature_vector(r)?;
+    let label = r.get_opt_f64()?;
+    let split = get_split(r)?;
+    let prediction = r.get_opt_f64()?;
+    let tag = r.get_opt_str()?;
+    Ok(Example { features, label, split, prediction, tag })
+}
+
+#[inline(always)]
+fn get_slim_example(r: &mut Reader) -> Option<Example> {
+    let b: &[u8; SLIM_EXAMPLE_LEN] =
+        r.buf.get(r.pos..r.pos.checked_add(SLIM_EXAMPLE_LEN)?)?.try_into().ok()?;
+    let f64_at = |at: usize| f64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+    if b[..3] != [0, 0, 1] || b[12] != 1 || b[21] != 0 {
+        return None;
+    }
+    let split = Split::from_byte(b[11])?;
+    r.pos += SLIM_EXAMPLE_LEN;
+    Some(Example {
+        features: FeatureVector::Dense(Vec::new()),
+        label: Some(f64_at(3)),
+        split,
+        prediction: Some(f64_at(13)),
+        tag: None,
+    })
 }
 
 fn put_model(w: &mut Writer, model: &Model) {
@@ -609,9 +718,9 @@ fn get_model(r: &mut Reader) -> Result<Model> {
                 let offsets = r.get_f64_vec()?;
                 TransformModel::RandomFourier { projection, offsets, dim_in, dim_out }
             }
-            t => return Err(HelixError::codec(format!("bad transform tag {t}"))),
+            t => return Err(bad_tag("transform", t)),
         }),
-        t => return Err(HelixError::codec(format!("bad model tag {t}"))),
+        t => return Err(bad_tag("model", t)),
     })
 }
 
@@ -653,7 +762,7 @@ fn get_scalar(r: &mut Reader) -> Result<Scalar> {
             }
             Scalar::Metrics(m)
         }
-        t => return Err(HelixError::codec(format!("bad scalar tag {t}"))),
+        t => return Err(bad_tag("scalar", t)),
     })
 }
 
@@ -727,6 +836,7 @@ pub fn decode_value(bytes: &[u8]) -> Result<Value> {
 mod tests {
     use super::*;
     use helix_common::crc32::crc32;
+    use proptest::prelude::*;
 
     fn sample_records() -> Value {
         let schema = Schema::new(["age", "education", "target"]);
@@ -967,6 +1077,211 @@ mod tests {
         let journal = frame::seal_frame(journal, frame::GENESIS_HASH);
         let err = decode_value(&journal).unwrap_err().to_string();
         assert!(err.contains("not an artifact"), "{err}");
+    }
+
+    /// Seal a hand-built payload as an artifact frame (valid CRC), so
+    /// only the payload checks can reject it.
+    fn sealed(build: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer { buf: frame::begin_frame(FrameKind::Artifact, 64) };
+        build(&mut w);
+        frame::seal_frame(w.into_bytes(), frame::GENESIS_HASH)
+    }
+
+    /// Re-seal the first `len` payload bytes of a valid artifact.
+    fn resealed_prefix(artifact: &[u8], len: usize) -> Vec<u8> {
+        let payload = frame::parse_frame(artifact).unwrap().payload;
+        sealed(|w| w.buf.extend_from_slice(&payload[..len]))
+    }
+
+    fn empty_space(w: &mut Writer) {
+        w.put_u8(ValueKind::Examples.to_byte());
+        w.put_varint(0); // feature-space entries
+    }
+
+    #[test]
+    fn declared_f64_run_longer_than_frame_is_an_error() {
+        // Model bias declares more f64s than the frame holds: once past the
+        // length-floor guard, once by exactly one element (the floor
+        // admits it; the bulk bounds check must not).
+        for declared in [1_000_000u64, 3] {
+            let bytes = sealed(|w| {
+                w.put_u8(ValueKind::Model.to_byte());
+                w.put_u8(0); // linear
+                w.put_varint(2); // dim
+                w.put_varint(0); // no weight rows
+                w.put_varint(declared);
+                w.put_f64(1.0);
+                w.put_f64(2.0);
+            });
+            let err = decode_value(&bytes).unwrap_err().to_string();
+            assert!(err.contains("exceeds") || err.contains("truncated"), "{declared}: {err}");
+        }
+        // A dense example vector the same way.
+        let bytes = sealed(|w| {
+            empty_space(w);
+            w.put_varint(1); // one example
+            w.put_u8(0); // dense
+            w.put_varint(2);
+            w.put_f64(0.5);
+        });
+        assert!(decode_value(&bytes).is_err());
+    }
+
+    #[test]
+    fn sparse_nnz_longer_than_frame_is_an_error() {
+        for (nnz, values_present) in [(1_000_000u64, 0usize), (3, 2), (2, 1)] {
+            let bytes = sealed(|w| {
+                empty_space(w);
+                w.put_varint(1);
+                w.put_u8(1); // sparse
+                w.put_varint(16); // dim
+                w.put_varint(nnz);
+                for i in 0..nnz.min(3) {
+                    w.put_varint(i);
+                }
+                for _ in 0..values_present {
+                    w.put_f64(1.5);
+                }
+            });
+            assert!(decode_value(&bytes).is_err(), "nnz {nnz} with {values_present} values");
+        }
+    }
+
+    #[test]
+    fn payload_cut_inside_a_bulk_f64_run_is_an_error() {
+        let model = Value::Model(Model::Linear(LinearModel {
+            weights: vec![(0..64).map(|i| i as f64 * 0.25).collect()],
+            bias: vec![0.5],
+            dim: 64,
+        }));
+        let examples = Value::examples(ExampleBatch::dense(vec![Example::new(
+            FeatureVector::sparse_from_pairs(64, (0..32).map(|i| (i * 2, i as f64)).collect()),
+            Some(1.0),
+            Split::Train,
+        )]));
+        let slim = Value::examples(ExampleBatch::dense(
+            (0..3)
+                .map(|i| Example {
+                    features: FeatureVector::Dense(Vec::new()),
+                    label: Some(i as f64),
+                    split: Split::Test,
+                    prediction: Some(0.5),
+                    tag: None,
+                })
+                .collect(),
+        ));
+        for value in [model, examples, slim] {
+            let artifact = encode_value(&value);
+            let payload_len = frame::parse_frame(&artifact).unwrap().payload.len();
+            assert!(decode_value(&resealed_prefix(&artifact, payload_len)).is_ok());
+            for cut in 0..payload_len {
+                assert!(
+                    decode_value(&resealed_prefix(&artifact, cut)).is_err(),
+                    "payload cut at {cut} of {payload_len} decoded"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slim_example_pattern_with_bad_split_is_an_error() {
+        let bytes = sealed(|w| {
+            empty_space(w);
+            w.put_varint(1);
+            w.put_u8(0); // dense
+            w.put_varint(0);
+            w.put_opt_f64(Some(1.0));
+            w.put_u8(7); // not a split
+            w.put_opt_f64(Some(0.25));
+            w.put_opt_str(None);
+        });
+        let err = decode_value(&bytes).unwrap_err().to_string();
+        assert!(err.contains("split"), "{err}");
+    }
+
+    #[test]
+    fn f64_run_length_overflow_is_an_error() {
+        let bytes = [0u8; 16];
+        let mut r = Reader::new(&bytes);
+        assert!(r.get_f64_run(usize::MAX / 4).is_err());
+        assert!(r.get_f64_run(3).is_err());
+        assert_eq!(r.get_f64_run(2).unwrap(), vec![0.0, 0.0]);
+        assert!(r.finished());
+    }
+
+    fn f64_bits() -> impl Strategy<Value = f64> {
+        any::<u64>().prop_map(f64::from_bits)
+    }
+
+    fn split() -> impl Strategy<Value = Split> {
+        any::<bool>().prop_map(|test| if test { Split::Test } else { Split::Train })
+    }
+
+    fn tag() -> impl Strategy<Value = Option<String>> {
+        prop::option::of("[a-z0-9-]{0,12}")
+    }
+
+    /// The `warm-reuse` inference shape, dense examples, and empty and
+    /// small sparse vectors.
+    fn example() -> impl Strategy<Value = Example> {
+        let slim =
+            (f64_bits(), split(), f64_bits(), tag()).prop_map(|(label, split, prediction, tag)| {
+                Example {
+                    features: FeatureVector::Dense(Vec::new()),
+                    label: Some(label),
+                    split,
+                    prediction: Some(prediction),
+                    tag,
+                }
+            });
+        let dense = (
+            prop::collection::vec(f64_bits(), 0..24),
+            prop::option::of(f64_bits()),
+            split(),
+            prop::option::of(f64_bits()),
+            tag(),
+        )
+            .prop_map(|(d, label, split, prediction, tag)| Example {
+                features: FeatureVector::Dense(d),
+                label,
+                split,
+                prediction,
+                tag,
+            });
+        let sparse =
+            (any::<u32>(), prop::collection::vec((0u32..1_000, f64_bits()), 0..6), split())
+                .prop_map(|(dim, pairs, split)| {
+                    let (indices, values) = pairs.into_iter().unzip();
+                    Example::new(FeatureVector::Sparse { dim, indices, values }, None, split)
+                });
+        let empty_sparse = (any::<u32>(), split()).prop_map(|(dim, split)| {
+            Example::new(
+                FeatureVector::Sparse { dim, indices: Vec::new(), values: Vec::new() },
+                Some(0.0),
+                split,
+            )
+        });
+        prop_oneof![slim, dense, sparse, empty_sparse]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn example_batches_roundtrip_bitwise(examples in prop::collection::vec(example(), 0..40)) {
+            let value = Value::examples(ExampleBatch::dense(examples.clone()));
+            let bytes = encode_value(&value);
+            let back = decode_value(&bytes).unwrap();
+            // Re-encoding is a bitwise comparison of every f64 (NaN
+            // payloads included); the field check catches a decoder that
+            // drifts in a way the encoder would mirror.
+            prop_assert_eq!(encode_value(&back), bytes);
+            let decoded = &back.as_collection().unwrap().as_examples().unwrap().examples;
+            prop_assert_eq!(decoded.len(), examples.len());
+            for (a, b) in decoded.iter().zip(&examples) {
+                prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            }
+        }
     }
 
     #[test]
