@@ -10,8 +10,8 @@
 //! PATH`). `--check` exits non-zero unless byte-identity held (the driver
 //! errors on divergence) and the combined speedup reaches `--min-speedup`
 //! (default 1.05 under `--check` — conservative enough for a 1-core CI
-//! runner; the ≥1.3× acceptance number is measured at 4 workers on the
-//! default configuration).
+//! runner). Each workload reports the raw hidden time, the unclamped
+//! overlap ratio and the residual beside the speedup.
 
 use helix_bench::pipeline::{run_pipeline_bench, PipelineBenchConfig};
 use helix_storage::DiskProfile;

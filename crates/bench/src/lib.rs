@@ -24,7 +24,7 @@
 //!   on one service vs the serial back-to-back baseline (throughput,
 //!   per-tenant latency, cross-tenant cache-hit rate).
 //! * [`pipeline`] — the pipelined iteration runtime vs the serial
-//!   engine (speedup, overlap ratio, speculation hit rate); emits
+//!   engine (speedup, hidden time, overlap ratio, residual); emits
 //!   `BENCH_pipeline.json`.
 //! * [`microbatch`] — intra-node micro-batch co-execution vs whole-frame
 //!   operator execution (load/compute overlap, O(batch) residency);

@@ -23,22 +23,16 @@
 //! drives itself to completion inline ([`SessionDriver::drive`]) — the
 //! states collapse into straight-line code. A pooled runner
 //! (`helix-serve`) instead **parks** a driver that reports `NeedsCore`
-//! and resumes it when the shared [`CoreBudget`] grants a token: a
-//! session between steps costs memory, not an OS thread. Either way the
+//! and resumes it when the shared
+//! [`CoreBudget`](helix_exec::CoreBudget) grants a token: a session
+//! between steps costs memory, not an OS thread. Either way the
 //! underlying lifecycle calls are the same two methods, so the
 //! byte-identity contract is untouched — the driver only decides *when*
 //! they run, never what they produce.
-//!
-//! The module also hosts [`speculate_budgeted`], the one shared spelling
-//! of the plan lane's budget discipline (lease a token or skip
-//! speculation entirely), consumed by both [`Session::run_pipelined`]
-//! and the service runner — previously duplicated in both places.
 
 use crate::dsl::Workflow;
-use crate::pipeline::{speculate, SpeculationInputs, SpeculativePlan};
 use crate::session::{IterationReport, PreparedIteration, Session};
 use helix_common::{HelixError, Result};
-use helix_exec::CoreBudget;
 
 /// What a [`SessionDriver`] needs next (or produced).
 ///
@@ -46,9 +40,8 @@ use helix_exec::CoreBudget;
 /// progress and expects the caller to satisfy the need (grant a core, or
 /// let background writes drain — the latter is advisory) before stepping
 /// again. `Ready` hands out the prepared iteration for the caller's
-/// boundary work (a service publishes the speculation snapshot and
-/// releases the session's ordering hold here) before
-/// [`SessionDriver::execute`]. `Done`/`Failed` are terminal.
+/// boundary work (a service releases the session's ordering hold here)
+/// before [`SessionDriver::execute`]. `Done`/`Failed` are terminal.
 pub enum Step {
     /// The driver requires a base core token before planning. Only
     /// emitted by drivers built with [`SessionDriver::require_core`];
@@ -86,7 +79,6 @@ enum DriverState {
 pub struct SessionDriver<'s, 'w> {
     session: &'s mut Session,
     wf: &'w Workflow,
-    hint: Option<SpeculativePlan>,
     require_core: bool,
     core_granted: bool,
     state: DriverState,
@@ -98,19 +90,10 @@ impl<'s, 'w> SessionDriver<'s, 'w> {
         SessionDriver {
             session,
             wf,
-            hint: None,
             require_core: false,
             core_granted: false,
             state: DriverState::AwaitCore,
         }
-    }
-
-    /// Builder: adopt a speculative plan (validated during planning
-    /// exactly as [`Session::prepare_iteration`] documents).
-    #[must_use]
-    pub fn with_hint(mut self, hint: Option<SpeculativePlan>) -> SessionDriver<'s, 'w> {
-        self.hint = hint;
-        self
     }
 
     /// Builder: make [`step`](Self::step) yield [`Step::NeedsCore`]
@@ -128,12 +111,6 @@ impl<'s, 'w> SessionDriver<'s, 'w> {
     /// not need) the iteration's base core token.
     pub fn grant_core(&mut self) {
         self.core_granted = true;
-    }
-
-    /// The driven session (for boundary work between `Ready` and
-    /// [`execute`](Self::execute), e.g. taking a speculation snapshot).
-    pub fn session(&self) -> &Session {
-        self.session
     }
 
     /// Advance the plan side of the state machine. See [`Step`] for the
@@ -156,7 +133,7 @@ impl<'s, 'w> SessionDriver<'s, 'w> {
                     }
                 }
                 DriverState::Plan => {
-                    return match self.session.prepare_iteration(self.wf, self.hint.take()) {
+                    return match self.session.prepare_iteration(self.wf, None) {
                         Ok(prepared) => {
                             self.state = DriverState::AwaitExecute;
                             Step::Ready(prepared)
@@ -209,90 +186,5 @@ impl<'s, 'w> SessionDriver<'s, 'w> {
                 Step::Done(_) => unreachable!("step yields Done only through execute"),
             }
         }
-    }
-}
-
-/// The plan lane's budget discipline, in one place: speculatively plan
-/// `wf` only if a core token is free (or the session is unconstrained).
-/// Planning is real CPU work, unlike the sleep-dominated I/O lanes, so
-/// an exhausted budget skips speculation entirely — the pre-pipelining
-/// behavior, never a stall.
-///
-/// With `catch_panics`, a panicking speculation degrades to "no hint"
-/// instead of unwinding the calling thread (the service runner's choice:
-/// a leaked dispatch slot would hang the ticket; if the panic is a real
-/// planner bug, the serial re-plan hits it inside the runner's own guard
-/// and the ticket reports the error). Without it, the panic propagates —
-/// the solo pipelined path resurfaces planner bugs loudly.
-pub fn speculate_budgeted(
-    inputs: &SpeculationInputs,
-    wf: &Workflow,
-    budget: Option<&CoreBudget>,
-    catch_panics: bool,
-) -> Option<SpeculativePlan> {
-    let _lease = match budget {
-        Some(budget) => match budget.try_acquire_one() {
-            Some(lease) => Some(lease),
-            None => return None,
-        },
-        None => None,
-    };
-    if catch_panics {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| speculate(inputs, wf))).ok()
-    } else {
-        Some(speculate(inputs, wf))
-    }
-}
-
-/// One pipelined iteration: drive `wf` to its execute phase, then
-/// overlap that execution with a budget-gated speculative plan of
-/// `next_wf` on a scoped thread. Returns the report plus the hint for
-/// the next iteration (`None` when nothing was speculated). This is
-/// [`Session::run_pipelined`]'s loop body — the same overlap the service
-/// runner performs across its queue, expressed through the same driver.
-pub fn drive_overlapped(
-    session: &mut Session,
-    wf: &Workflow,
-    hint: Option<SpeculativePlan>,
-    next_wf: Option<&Workflow>,
-) -> Result<(IterationReport, Option<SpeculativePlan>)> {
-    let mut driver = SessionDriver::new(session, wf).with_hint(hint);
-    let prepared = loop {
-        match driver.step() {
-            Step::NeedsCore => driver.grant_core(),
-            Step::NeedsIo => {}
-            Step::Ready(prepared) => break prepared,
-            Step::Failed(err) => return Err(err),
-            Step::Done(_) => unreachable!("step yields Done only through execute"),
-        }
-    };
-    let step = match next_wf {
-        Some(next_wf) => {
-            let inputs = driver.session().speculation_snapshot();
-            let budget = driver.session().core_budget_arc();
-            let (step, spec) = std::thread::scope(|scope| {
-                let handle = scope
-                    .spawn(move || speculate_budgeted(&inputs, next_wf, budget.as_deref(), false));
-                let step = driver.execute(prepared);
-                let spec = match handle.join() {
-                    Ok(spec) => spec,
-                    // A speculation panic is a planner bug, not a
-                    // tolerable miss — resurface it loudly.
-                    Err(panic) => std::panic::resume_unwind(panic),
-                };
-                (step, spec)
-            });
-            return match step {
-                Step::Done(report) => Ok((*report, spec)),
-                Step::Failed(err) => Err(err),
-                _ => unreachable!("execute is terminal"),
-            };
-        }
-        None => driver.execute(prepared),
-    };
-    match step {
-        Step::Done(report) => Ok((*report, None)),
-        Step::Failed(err) => Err(err),
-        _ => unreachable!("execute is terminal"),
     }
 }

@@ -81,12 +81,12 @@ pub mod prelude {
     pub use helix_exec::Phase;
 }
 
-pub use driver::{drive_overlapped, speculate_budgeted, SessionDriver, Step};
+pub use driver::{SessionDriver, Step};
 pub use dsl::Workflow;
 pub use materialize::MatStrategy;
 pub use microbatch::{execute_streamed, partition_bounds, StreamLabels, StreamReport};
 pub use operator::{Operator, PartitionSpec, ProvenanceInputs, SeededOperator};
-pub use pipeline::{speculate, BackgroundWriter, Prefetcher, SpeculationInputs, SpeculativePlan};
+pub use pipeline::{BackgroundWriter, Prefetcher};
 pub use session::{
     IterationReport, ReuseScope, Session, SessionConfig, SessionHandles, DEFAULT_SEED,
 };

@@ -4,19 +4,8 @@
 //! LLM-serving follow-up, arXiv:2406.01566; I/O hidden under compute as
 //! in micro-batch co-execution, arXiv:2411.15871).
 //!
-//! Three lanes run beside the engine's compute frontier:
+//! Two lanes run beside the engine's compute frontier:
 //!
-//! * **Plan lane** ([`SpeculationInputs`] / [`speculate`]) — iteration
-//!   `t+1`'s signature chain and OPT-EXEC-PLAN solve start on a
-//!   budget-leased thread while `t`'s tail nodes still execute.
-//!   Speculation is *read-only* and records the planner's exact read set
-//!   ([`helix_core::plan::PlanReadSet`](crate::plan::PlanReadSet)); when
-//!   `t+1` actually begins, the session revalidates every read against
-//!   the now-final state and reuses the speculative plan only on a
-//!   perfect match — otherwise it replans exactly as a serial session
-//!   would. The plan *used* is therefore always byte-identical to the
-//!   serial plan; speculation can only move work off the critical path,
-//!   never change it.
 //! * **Write lane** ([`BackgroundWriter`]) — elective materializations
 //!   are *staged* in the catalog index synchronously (so every
 //!   Algorithm-2 decision still sees serial-identical budget/catalog
@@ -33,20 +22,15 @@
 //!   the real, overlapped wall time is reported separately
 //!   ([`helix_exec::IterationMetrics::load_nanos`]).
 //!
-//! Budget discipline: the plan lane leases a token or skips entirely;
-//! the load lanes are *sized* by the budget at spawn time (the engine
-//! leases one token per extra lane for the lanes' lifetime — decode is
-//! real CPU, not just sleep — and always keeps one lane on the
-//! iteration's own token); the single write-lane thread leases
+//! Budget discipline: the load lanes are *sized* by the budget at spawn
+//! time (the engine leases one token per extra lane for the lanes'
+//! lifetime — decode is real CPU, not just sleep — and always keeps one
+//! lane on the iteration's own token); the single write-lane thread leases
 //! opportunistically per write (`try_acquire_one`, held while working)
 //! but proceeds regardless, since a throttled file write is
 //! sleep-dominated. `peak_leased ≤ budget` continues to hold because
 //! only non-blocking acquisition is used.
 
-use crate::dsl::Workflow;
-use crate::plan::{plan_from_read_set, plan_read_set, Plan, PlanInputs, PlanReadSet};
-use crate::session::ReuseScope;
-use crate::track::{chain_signatures, ExecEnv};
 use helix_common::hash::Signature;
 use helix_common::timing::Nanos;
 use helix_common::HelixError;
@@ -447,62 +431,6 @@ impl<'a> Prefetcher<'a> {
     fn offset_nanos(&self) -> Nanos {
         helix_common::timing::duration_to_nanos(self.epoch.elapsed())
     }
-}
-
-// ---------------------------------------------------------------------
-// Plan lane
-// ---------------------------------------------------------------------
-
-/// Everything speculative planning needs, snapshotted from a session at
-/// the moment an iteration enters its execute phase. Cheap clones of the
-/// small per-session maps plus a live catalog handle (reads race `t`'s
-/// writes, which is why the read set is revalidated before use).
-#[derive(Clone)]
-pub struct SpeculationInputs {
-    pub(crate) catalog: Arc<MaterializationCatalog>,
-    /// The session's execution environment, frozen with the rest of the
-    /// snapshot: speculative signatures are keyed by the same provenance
-    /// (seed) the consuming `prepare_iteration` will use, so the sigs
-    /// equality check validates environment along with structure.
-    pub(crate) env: ExecEnv,
-    pub(crate) volatile_nonces: HashMap<String, u64>,
-    pub(crate) compute_stats: HashMap<Signature, Nanos>,
-    pub(crate) reuse: ReuseScope,
-    pub(crate) default_compute_nanos: Nanos,
-}
-
-/// A plan computed ahead of its iteration, plus everything needed to
-/// prove it is still the serial plan when its turn comes. Validation is
-/// content-based: the consuming `prepare_iteration` recomputes the
-/// signature chain itself and compares (`sigs` equality subsumes
-/// workflow identity, nonce state, and execution-environment provenance
-/// — two workflows with identical chains are equivalent by
-/// Definition 3), then revalidates the entire
-/// planner read set. No address or name comparison is trusted.
-pub struct SpeculativePlan {
-    pub(crate) sigs: Vec<Signature>,
-    pub(crate) plan: Plan,
-    pub(crate) read_set: PlanReadSet,
-}
-
-/// Speculatively plan `wf` from a snapshot (read-only; safe to run on a
-/// thread while the previous iteration executes). The plan is solved
-/// from a *frozen* copy of the read set, so the returned read set is, by
-/// construction, exactly what the plan consumed — concurrent catalog
-/// mutations can only make validation fail, never let a stale plan pass.
-pub fn speculate(inputs: &SpeculationInputs, wf: &Workflow) -> SpeculativePlan {
-    let _span = helix_obs::span(helix_obs::layer::PIPELINE, "speculate").track("planner");
-    let sigs = chain_signatures(wf, &inputs.volatile_nonces, &inputs.env);
-    let plan_inputs = PlanInputs {
-        sigs: &sigs,
-        catalog: &inputs.catalog,
-        reuse: inputs.reuse,
-        compute_stats: &inputs.compute_stats,
-        default_compute_nanos: inputs.default_compute_nanos,
-    };
-    let read_set = plan_read_set(wf, &plan_inputs);
-    let plan = plan_from_read_set(wf, &read_set, inputs.default_compute_nanos);
-    SpeculativePlan { sigs, plan, read_set }
 }
 
 #[cfg(test)]

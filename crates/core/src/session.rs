@@ -20,12 +20,12 @@
 //! [`SessionConfig::deepdive_like`] (materialize everything, reuse DPR
 //! only).
 
-use crate::driver::{drive_overlapped, SessionDriver};
+use crate::driver::SessionDriver;
 use crate::dsl::Workflow;
 use crate::engine::{execute, EngineParams};
 use crate::materialize::MatStrategy;
-use crate::pipeline::{BackgroundWriter, SpeculationInputs, SpeculativePlan};
-use crate::plan::{plan, plan_read_set, PlanInputs};
+use crate::pipeline::BackgroundWriter;
+use crate::plan::{plan, PlanInputs};
 use crate::track::{chain_signatures, signature_snapshot, ExecEnv};
 use helix_common::hash::Signature;
 use helix_common::timing::Nanos;
@@ -80,12 +80,11 @@ pub struct SessionConfig {
     /// Hysteresis dead band for Algorithm 2's elective decisions
     /// (fraction of the `2·l(n)` threshold; 0 = the paper's strict rule).
     pub mat_hysteresis: f64,
-    /// Pipelined iteration runtime (on by default): prefetched loads,
-    /// background materialization writes, and — through
-    /// [`Session::run_pipelined`] or `helix-serve` — speculative
-    /// planning of the next iteration while the current one executes.
-    /// Off = the strictly serial reference the determinism suites
-    /// compare against. Results are byte-identical either way.
+    /// Pipelined iteration runtime (on by default): prefetched loads
+    /// and background materialization writes that drain across
+    /// iteration boundaries. Off = the strictly serial reference the
+    /// determinism suites compare against. Results are byte-identical
+    /// either way.
     pub pipeline: bool,
     /// Micro-batch co-execution: partitionable operators execute as a
     /// stream of fixed `microbatch_rows`-row partitions with overlapped
@@ -265,17 +264,14 @@ pub struct Session {
     /// The background materialization write lane (created lazily on the
     /// first pipelined iteration that can store; drains on drop).
     writer: Option<BackgroundWriter>,
-    /// Speculative plans adopted verbatim / discarded by validation.
-    spec_hits: u64,
-    spec_misses: u64,
 }
 
 /// A planned-but-not-yet-executed iteration: the product of
 /// [`Session::prepare_iteration`] (lifecycle steps 1–4½ — signatures,
 /// purge, OPT-EXEC-PLAN, volatile refresh, load claims), consumed by
 /// [`Session::execute_prepared`]. The split is what lets `helix-serve`
-/// treat "in flight" as *execute-phase only* and overlap one iteration's
-/// planning with its predecessor's execution.
+/// treat "in flight" as *execute-phase only*: once an iteration enters
+/// execution, its session's successor may already be dispatched.
 pub struct PreparedIteration {
     states: Vec<State>,
     sigs: Vec<Signature>,
@@ -336,8 +332,6 @@ impl Session {
             elective_memory: HashMap::new(),
             history: Vec::new(),
             writer: None,
-            spec_hits: 0,
-            spec_misses: 0,
         }
     }
 
@@ -383,40 +377,15 @@ impl Session {
         SessionDriver::new(self, wf).drive()
     }
 
-    /// Run a whole scripted sequence of iterations with cross-iteration
-    /// pipelining: while iteration `t` executes, iteration `t+1`'s
-    /// signature chain and OPT-EXEC-PLAN are speculatively computed on a
-    /// budget-leased thread, then revalidated (and adopted only on a
-    /// perfect read-set match) when its turn comes. Byte-identical to
-    /// calling [`run`](Self::run) once per workflow — speculation can
-    /// only move planning off the critical path, never change its result.
-    /// Each loop turn is one [`crate::driver::drive_overlapped`] call —
-    /// the same driver + budget-gated speculation the service runner
-    /// uses.
-    pub fn run_pipelined(&mut self, wfs: &[Workflow]) -> Result<Vec<IterationReport>> {
-        let mut reports = Vec::with_capacity(wfs.len());
-        let mut hint: Option<SpeculativePlan> = None;
-        for (t, wf) in wfs.iter().enumerate() {
-            let next_wf = if self.config.pipeline { wfs.get(t + 1) } else { None };
-            let (report, spec) = drive_overlapped(self, wf, hint.take(), next_wf)?;
-            hint = spec;
-            reports.push(report);
-        }
-        Ok(reports)
-    }
-
     /// Lifecycle steps 1–4½: signatures, purge, OPT-EXEC-PLAN, volatile
-    /// refresh, plan-time load claims. `hint` is a speculative plan from
-    /// [`speculate_budgeted`](crate::driver::speculate_budgeted); it is
-    /// adopted only when its workflow identity,
-    /// nonce state, execution-environment provenance, and the planner's
-    /// entire post-purge read set still match — otherwise this plans from
-    /// scratch, exactly like a serial session. Either way the resulting
-    /// plan is the serial plan.
+    /// refresh, plan-time load claims.
+    ///
+    /// The second parameter is always `None`; it is kept only so existing
+    /// two-argument callers still compile.
     pub fn prepare_iteration(
         &mut self,
         wf: &Workflow,
-        hint: Option<SpeculativePlan>,
+        _always_none: Option<std::convert::Infallible>,
     ) -> Result<PreparedIteration> {
         // A failed background write from an earlier iteration fails this
         // one loudly, before any new catalog state is built on top of it.
@@ -424,18 +393,8 @@ impl Session {
             return Err(err);
         }
 
-        // 1. Compile: chain signatures under current nonces — always
-        //    recomputed, never trusted from the hint. Chain equality is
-        //    the hint's identity check: equal chains mean equivalent
-        //    workflows under equal nonce state (Definition 3), so no
-        //    address/name heuristic (which allocation reuse could defeat)
-        //    is ever relied on.
-        let hint_given = hint.is_some();
+        // 1. Compile: chain signatures under current nonces.
         let planning_sigs = chain_signatures(wf, &self.volatile_nonces, &self.env);
-        let hint_solution = match hint {
-            Some(h) if h.sigs == planning_sigs => Some((h.plan, h.read_set)),
-            _ => None,
-        };
 
         // 2. Purge deprecated materializations of original operators
         //    (paper §6.6) so budget is not wasted on unreachable artifacts.
@@ -452,14 +411,7 @@ impl Session {
             }
         }
 
-        // 3. Optimize: OPT-EXEC-PLAN. A speculative solve is adopted only
-        //    if every lookup the planner performs — per-node load
-        //    estimate under the reuse gate, per-node measured compute
-        //    time — still returns exactly what the speculation saw (the
-        //    purge above, co-tenants, and the previous iteration's own
-        //    stores/statistics all race speculation; any drift fails the
-        //    comparison and we solve afresh, which is what a serial
-        //    session always does).
+        // 3. Optimize: OPT-EXEC-PLAN.
         let inputs = PlanInputs {
             sigs: &planning_sigs,
             catalog: &self.catalog,
@@ -467,18 +419,7 @@ impl Session {
             compute_stats: &self.compute_stats,
             default_compute_nanos: self.config.default_compute_nanos,
         };
-        let mut planned = match hint_solution {
-            Some((plan_hint, read_set)) if plan_read_set(wf, &inputs) == read_set => {
-                self.spec_hits += 1;
-                plan_hint
-            }
-            _ => {
-                if hint_given {
-                    self.spec_misses += 1;
-                }
-                plan(wf, &inputs)
-            }
-        };
+        let mut planned = plan(wf, &inputs);
 
         // 4. Volatile refresh: any non-deterministic operator about to
         //    re-execute gets a fresh nonce; descendants' signatures change,
@@ -650,29 +591,6 @@ impl Session {
         Ok(report)
     }
 
-    /// Snapshot everything speculative planning reads, for
-    /// [`speculate_budgeted`](crate::driver::speculate_budgeted). Taken
-    /// when an iteration enters its execute phase:
-    /// the per-session maps are stable until the next `prepare_iteration`
-    /// mutates them, and the (live) catalog handle races only writes that
-    /// read-set validation will catch.
-    pub fn speculation_snapshot(&self) -> SpeculationInputs {
-        SpeculationInputs {
-            catalog: Arc::clone(&self.catalog),
-            env: self.env,
-            volatile_nonces: self.volatile_nonces.clone(),
-            compute_stats: self.compute_stats.clone(),
-            reuse: self.config.reuse,
-            default_compute_nanos: self.config.default_compute_nanos,
-        }
-    }
-
-    /// The shared core budget this session draws from, if any (for the
-    /// driver's budget-gated speculation lane).
-    pub(crate) fn core_budget_arc(&self) -> Option<Arc<CoreBudget>> {
-        self.core_budget.clone()
-    }
-
     /// Pending background materialization writes (the driver's
     /// [`crate::driver::Step::NeedsIo`] cue).
     pub(crate) fn writer_backlog(&self) -> usize {
@@ -687,12 +605,6 @@ impl Session {
             Some(writer) => writer.sync(),
             None => Ok(()),
         }
-    }
-
-    /// `(adopted, discarded)` speculative-plan counts — how often the
-    /// plan lane's work survived validation.
-    pub fn speculation_stats(&self) -> (u64, u64) {
-        (self.spec_hits, self.spec_misses)
     }
 
     /// Signatures whose materialization Algorithm 2 decided *electively*
@@ -900,7 +812,7 @@ mod tests {
     }
 
     #[test]
-    fn run_pipelined_is_byte_identical_to_serial_runs() {
+    fn pipelined_runs_are_byte_identical_to_serial_runs() {
         // Initial build, identical rerun, a change, its rerun — compute,
         // reuse, and invalidation paths all exercised.
         let sequence = || vec![scalar_chain(1), scalar_chain(1), scalar_chain(2), scalar_chain(2)];
@@ -911,7 +823,8 @@ mod tests {
             sequence().iter().map(|wf| serial.run(wf).unwrap()).collect();
 
         let mut pipelined = Session::new(config).unwrap();
-        let pipelined_reports = pipelined.run_pipelined(&sequence()).unwrap();
+        let pipelined_reports: Vec<IterationReport> =
+            sequence().iter().map(|wf| pipelined.run(wf).unwrap()).collect();
         pipelined.sync().unwrap();
 
         for (t, (s, p)) in serial_reports.iter().zip(&pipelined_reports).enumerate() {
@@ -963,24 +876,6 @@ mod tests {
             helix_storage::MaterializationCatalog::open(&dir, DiskProfile::unthrottled()).unwrap();
         assert_eq!(reopened.len(), 3, "manifest sealed by sync");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn speculation_adopts_plans_on_stable_reruns() {
-        // Four identical iterations: the speculation overlapping iteration
-        // 2 (a pure-reuse rerun) sees exactly the state iteration 3 plans
-        // against, so at least one speculative plan must survive
-        // validation — and misses must never change results.
-        let wfs: Vec<Workflow> = (0..4).map(|_| scalar_chain(1)).collect();
-        let mut session = Session::new(SessionConfig::in_memory()).unwrap();
-        let reports = session.run_pipelined(&wfs).unwrap();
-        assert_eq!(reports.len(), 4);
-        for report in &reports {
-            assert_eq!(report.output_scalar("c").unwrap().as_f64(), Some(11.0));
-        }
-        let (hits, misses) = session.speculation_stats();
-        assert!(hits >= 1, "stable rerun speculation must validate (hits={hits} misses={misses})");
-        assert_eq!(hits + misses, 3, "one speculation per overlapped iteration");
     }
 
     #[test]

@@ -35,8 +35,8 @@ use std::sync::{Arc, Condvar, Mutex};
 /// A shared budget of core tokens (semaphore with peak tracking).
 ///
 /// Leases may carry a **label** (the tenant that holds them):
-/// [`CoreBudget::acquire_one_labeled`] attributes the base token of a
-/// running iteration to its tenant, and
+/// [`CoreBudget::try_acquire_one_labeled_owned`] attributes the base
+/// token of a running iteration to its tenant, and
 /// [`leased_for`](CoreBudget::leased_for) /
 /// [`peak_leased_for`](CoreBudget::peak_leased_for) expose the per-label
 /// current and high-water counts. This is the per-tenant executing-core
@@ -131,29 +131,13 @@ impl CoreBudget {
     /// blocking for another — all further parallelism goes through the
     /// non-blocking [`try_acquire`](Self::try_acquire).
     pub fn acquire_one(&self) -> CoreLease<'_> {
-        self.acquire_one_inner(None)
-    }
-
-    /// [`acquire_one`](Self::acquire_one), attributed to `label` in the
-    /// per-label accounting (the service labels base tokens with the
-    /// owning tenant).
-    pub fn acquire_one_labeled(&self, label: &str) -> CoreLease<'_> {
-        self.acquire_one_inner(Some(label.to_string()))
-    }
-
-    fn acquire_one_inner(&self, label: Option<String>) -> CoreLease<'_> {
         let mut state = self.state.lock().expect("budget poisoned");
         while state.leased >= self.total {
             state = self.released.wait(state).expect("budget poisoned");
         }
         state.leased += 1;
         state.peak = state.peak.max(state.leased);
-        if let Some(label) = &label {
-            let count = state.by_label.entry(label.clone()).or_default();
-            count.leased += 1;
-            count.peak = count.peak.max(count.leased);
-        }
-        CoreLease { budget: self, tokens: 1, label }
+        CoreLease { budget: self, tokens: 1 }
     }
 
     /// Lease exactly one token without blocking; `None` when the budget
@@ -164,10 +148,11 @@ impl CoreBudget {
         (lease.tokens() == 1).then_some(lease)
     }
 
-    /// Non-blocking, label-attributed counterpart of
-    /// [`acquire_one_labeled`](Self::acquire_one_labeled), returning an
-    /// *owned* lease (`Arc`-backed, so it can be parked with a waiting
-    /// session and released from whichever worker thread resumes it).
+    /// Lease one token without blocking, attributed to `label` in the
+    /// per-label accounting (the service labels base tokens with the
+    /// owning tenant). Returns an *owned* lease (`Arc`-backed, so it can
+    /// be parked with a waiting session and released from whichever
+    /// worker thread resumes it).
     /// `None` when the budget is exhausted — the pooled runner's cue to
     /// park the session on the grant queue instead of blocking a thread.
     pub fn try_acquire_one_labeled_owned(self: &Arc<Self>, label: &str) -> Option<OwnedCoreLease> {
@@ -181,7 +166,7 @@ impl CoreBudget {
         count.leased += 1;
         count.peak = count.peak.max(count.leased);
         drop(state);
-        Some(OwnedCoreLease { budget: Arc::clone(self), tokens: 1, label: Some(label.to_string()) })
+        Some(OwnedCoreLease { budget: Arc::clone(self), tokens: 1, label: label.to_string() })
     }
 
     /// Lease up to `max` tokens without blocking; the lease may hold zero.
@@ -190,7 +175,7 @@ impl CoreBudget {
         let grant = max.min(self.total - state.leased);
         state.leased += grant;
         state.peak = state.peak.max(state.leased);
-        CoreLease { budget: self, tokens: grant, label: None }
+        CoreLease { budget: self, tokens: grant }
     }
 
     fn release(&self, tokens: usize, label: Option<&str>) {
@@ -216,13 +201,11 @@ impl CoreBudget {
     }
 }
 
-/// An RAII lease of `tokens` cores; released on drop.
+/// An RAII lease of `tokens` unlabeled cores; released on drop.
 #[derive(Debug)]
 pub struct CoreLease<'a> {
     budget: &'a CoreBudget,
     tokens: usize,
-    /// Attribution label (tenant) for per-label accounting, if any.
-    label: Option<String>,
 }
 
 impl CoreLease<'_> {
@@ -234,19 +217,21 @@ impl CoreLease<'_> {
 
 impl Drop for CoreLease<'_> {
     fn drop(&mut self) {
-        self.budget.release(self.tokens, self.label.as_deref());
+        self.budget.release(self.tokens, None);
     }
 }
 
 /// An owned (Arc-backed) RAII lease, for holders that outlive any one
 /// stack frame — a parked session's granted token travels with the
 /// session through the runner's queues and is released wherever the
-/// session finishes. Identical accounting to [`CoreLease`].
+/// session finishes. Identical accounting to [`CoreLease`], plus the
+/// per-label attribution.
 #[derive(Debug)]
 pub struct OwnedCoreLease {
     budget: Arc<CoreBudget>,
     tokens: usize,
-    label: Option<String>,
+    /// Attribution label (tenant) for per-label accounting.
+    label: String,
 }
 
 impl OwnedCoreLease {
@@ -258,7 +243,7 @@ impl OwnedCoreLease {
 
 impl Drop for OwnedCoreLease {
     fn drop(&mut self) {
-        self.budget.release(self.tokens, self.label.as_deref());
+        self.budget.release(self.tokens, Some(&self.label));
     }
 }
 
@@ -285,10 +270,10 @@ mod tests {
 
     #[test]
     fn labeled_leases_track_per_label_current_and_peak() {
-        let budget = CoreBudget::new(4);
-        let a1 = budget.acquire_one_labeled("alice");
-        let a2 = budget.acquire_one_labeled("alice");
-        let b = budget.acquire_one_labeled("bob");
+        let budget = Arc::new(CoreBudget::new(4));
+        let a1 = budget.try_acquire_one_labeled_owned("alice").unwrap();
+        let a2 = budget.try_acquire_one_labeled_owned("alice").unwrap();
+        let b = budget.try_acquire_one_labeled_owned("bob").unwrap();
         let _anon = budget.try_acquire(1);
         assert_eq!(budget.leased_for("alice"), 2);
         assert_eq!(budget.leased_for("bob"), 1);

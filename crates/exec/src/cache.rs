@@ -385,7 +385,7 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200u32 {
                         let node = t * 1_000 + i;
-                        shared_put(&cache, node, value_of_size(10));
+                        shared_put(cache, node, value_of_size(10));
                         assert!(cache.get(node).is_some());
                         if i % 2 == 0 {
                             cache.evict(node);

@@ -48,7 +48,7 @@ pub use span::{
 pub mod layer {
     /// Engine node lifecycle: dispatch/compute/load/prune/materialize.
     pub const ENGINE: &str = "engine";
-    /// `core::pipeline` lanes: speculation, background writer, prefetch.
+    /// `core::pipeline` lanes: background writer, prefetch.
     pub const PIPELINE: &str = "pipeline";
     /// Serve admission + runner: `admission.queued` (enqueue→pick, DRF
     /// share at pick), `session.park` (retrospective at resume: time a

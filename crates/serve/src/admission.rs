@@ -28,21 +28,20 @@
 //! 3. its session is pipelinable: a session iteration is "in flight" for
 //!    ordering purposes only during its **execute phase**. While an
 //!    incumbent executes, exactly one successor job of the same session
-//!    may dispatch — it speculatively *plans* (`Session::speculate`
-//!    against the snapshot the incumbent published) while the incumbent
-//!    still runs, then waits its turn on the session lock. Iterations of
-//!    one session still *retire* strictly in submission order (the
-//!    session is stateful); only their planning overlaps.
+//!    may dispatch — it parks in the runner until the incumbent
+//!    finishes, so it is ready to plan the moment the session frees up.
+//!    Iterations of one session run and retire strictly in submission
+//!    order (the session is stateful).
 //!
 //! Scheduling affects *when* a tenant's iteration runs, never *what* it
 //! produces: the determinism contract is enforced one layer down
 //! (provenance-keyed signatures that fold each session's seed into the
-//! chain + read-set-validated speculative plans), so the policy here is
+//! chain), so the policy here is
 //! free to reorder across tenants for latency or fairness.
 
 use crate::fairshare::{DrfAllocator, FairnessAudit, SchedulingPolicy, SHARE_SCALE};
 use crate::ticket::TicketState;
-use helix_core::{Session, SpeculationInputs, Workflow};
+use helix_core::{Session, Workflow};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -65,10 +64,6 @@ pub(crate) struct Job {
     pub tenant_max_concurrent: usize,
     pub session_id: u64,
     pub session: Arc<Mutex<Session>>,
-    /// Per-session mailbox for speculation snapshots: an iteration
-    /// entering its execute phase publishes one; its successor takes it
-    /// and plans ahead while the incumbent still runs.
-    pub spec_slot: Arc<Mutex<Option<SpeculationInputs>>>,
     pub wf: Workflow,
     pub ticket: Arc<TicketState>,
     pub enqueued: Instant,
@@ -387,12 +382,6 @@ impl AdmissionQueue {
         }
     }
 
-    /// Whether a job for `session_id` is still waiting in the queue (a
-    /// successor that could consume a speculation snapshot).
-    pub fn has_queued_job(&self, session_id: u64) -> bool {
-        self.queue.iter().any(|job| job.session_id == session_id)
-    }
-
     /// Remove a still-queued job by its ticket (cancellation). A job
     /// that already dispatched is not in the queue and returns `None` —
     /// it runs to completion; there is no dispatch bookkeeping to
@@ -460,8 +449,8 @@ pub struct QueueSnapshot {
     pub queued: usize,
     /// Iterations currently in their execute phase.
     pub running: usize,
-    /// Dispatched successors still in their plan phase (overlapping a
-    /// predecessor's execution).
+    /// Dispatched jobs not yet in their execute phase (including
+    /// successors parked behind a predecessor's execution).
     pub planning: usize,
     /// The bounded queue's capacity.
     pub queue_capacity: usize,
@@ -484,7 +473,6 @@ mod tests {
             tenant_max_concurrent: cap,
             session_id,
             session,
-            spec_slot: Arc::new(Mutex::new(None)),
             wf: Workflow::new("w"),
             ticket: TicketState::new(),
             enqueued: Instant::now(),

@@ -8,14 +8,14 @@
 //! worker threads drives the jobs through their phases:
 //!
 //! ```text
-//!   pick ─▶ ready ─▶ speculate ─▶ claim session ─▶ acquire core ─▶ run
-//!                      (once)       │ busy?            │ exhausted?
-//!                                   ▼                  ▼
-//!                            session_waiters      core_waiters
-//!                             (≤1 / session)         (FIFO)
-//!                                   │                  │
-//!                      owner finishes┘    budget release┘ (notifier)
-//!                                   └──────▶ ready ◀──────┘
+//!   pick ─▶ ready ─▶ claim session ─▶ acquire core ─▶ run
+//!                      │ busy?            │ exhausted?
+//!                      ▼                  ▼
+//!               session_waiters      core_waiters
+//!                (≤1 / session)         (FIFO)
+//!                      │                  │
+//!         owner finishes┘    budget release┘ (notifier)
+//!                      └──────▶ ready ◀──────┘
 //! ```
 //!
 //! A job that cannot make progress **parks** — it goes into a waiter
@@ -39,9 +39,8 @@
 //! Byte-identity is untouched by all of this: parking reorders *when*
 //! iterations run (exactly like the old blocking waits did), while the
 //! bytes they produce are pinned down one layer below (provenance-keyed
-//! signatures + read-set-validated speculation). The determinism suite
-//! runs the same workloads under this pool at several widths to prove
-//! it.
+//! signatures, one planning path). The determinism suite runs the same
+//! workloads under this pool at several widths to prove it.
 //!
 //! Workers also run the service's **housekeeping tick** between jobs: a
 //! rate-limited global-pressure check that calls `evict_global` when
@@ -53,7 +52,7 @@ use crate::service::{lock_session, ServiceInner};
 use crate::ticket::JobOutcome;
 use helix_common::timing::Nanos;
 use helix_common::HelixError;
-use helix_core::{speculate_budgeted, SessionDriver, SpeculativePlan, Step};
+use helix_core::{SessionDriver, Step};
 use helix_exec::OwnedCoreLease;
 use helix_obs::metrics::Gauge;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -71,10 +70,6 @@ const RECLAIM_INTERVAL: Duration = Duration::from_millis(50);
 /// up exactly where it yielded.
 struct RunnerJob {
     job: Job,
-    /// Speculative plan from the predecessor's published snapshot.
-    hint: Option<SpeculativePlan>,
-    /// Speculation runs once, before the first park.
-    speculated: bool,
     /// This job holds its session's exclusive run slot.
     owns_session: bool,
     /// The iteration's base core token (owned: it parks with the job).
@@ -142,14 +137,7 @@ impl Runner {
     /// Hand a freshly picked job to the pool.
     pub(crate) fn submit(&self, job: Job) {
         let mut state = self.lock();
-        state.ready.push_back(RunnerJob {
-            job,
-            hint: None,
-            speculated: false,
-            owns_session: false,
-            lease: None,
-            parked_at: None,
-        });
+        state.ready.push_back(RunnerJob { job, owns_session: false, lease: None, parked_at: None });
         drop(state);
         self.ready_cv.notify_one();
     }
@@ -250,9 +238,9 @@ fn housekeeping(inner: &ServiceInner) {
     }
 }
 
-/// Advance one job as far as it will go: speculate once, claim the
-/// session, acquire a core, run — parking (and returning the worker to
-/// the pool) at the first unmet need.
+/// Advance one job as far as it will go: claim the session, acquire a
+/// core, run — parking (and returning the worker to the pool) at the
+/// first unmet need.
 fn advance(inner: &Arc<ServiceInner>, mut rj: RunnerJob) {
     // A resumed job: trace how long it was parked.
     if let Some(parked_at) = rj.parked_at.take() {
@@ -266,18 +254,6 @@ fn advance(inner: &Arc<ServiceInner>, mut rj: RunnerJob) {
         .track(format!("tenant-{}", rj.job.tenant))
         .tenant(rj.job.tenant.as_str())
         .session(rj.job.session_id);
-    }
-    // Plan lane, once per job and before any park: if the predecessor
-    // published a speculation snapshot, plan against it now — iteration
-    // `t+1`'s planning overlapping `t`'s tail execution. Budget-gated
-    // and panic-tolerant (a panicking speculation degrades to no-hint;
-    // the serial re-plan inside the run guard reports real bugs).
-    if !rj.speculated {
-        rj.speculated = true;
-        let snapshot = rj.job.spec_slot.lock().expect("spec slot poisoned").take();
-        if let Some(inputs) = snapshot {
-            rj.hint = speculate_budgeted(&inputs, &rj.job.wf, Some(&inner.budget), true);
-        }
     }
     // Claim the session's run slot. Ownership comes before the core
     // token (as the old blocking order did): a job waiting on its
@@ -297,10 +273,19 @@ fn advance(inner: &Arc<ServiceInner>, mut rj: RunnerJob) {
     // The iteration's base core token. The park check runs under the
     // runner lock (lock order: runner → budget), so a concurrent
     // release either grants here or its notifier finds the job parked.
+    // The waiter count is raised *before* probing: a release landing
+    // between a failed probe and the park then sees a non-zero count and
+    // takes the runner lock instead of skipping on the notifier's fast
+    // path (the budget mutex orders the store before that release's
+    // load).
     if rj.lease.is_none() {
         let mut state = inner.runner.lock();
+        inner.runner.core_waiters_len.store(state.core_waiters.len() + 1, Ordering::SeqCst);
         match inner.budget.try_acquire_one_labeled_owned(&rj.job.tenant) {
-            Some(lease) => rj.lease = Some(lease),
+            Some(lease) => {
+                rj.lease = Some(lease);
+                inner.runner.core_waiters_len.store(state.core_waiters.len(), Ordering::Release);
+            }
             None => {
                 rj.parked_at = Some(Instant::now());
                 state.core_waiters.push_back(rj);
@@ -327,7 +312,7 @@ fn panic_error(panic: Box<dyn std::any::Any + Send>) -> HelixError {
 /// completion on the calling worker, then retire it and promote the
 /// session's waiting successor.
 fn run_iteration(inner: &Arc<ServiceInner>, rj: RunnerJob) {
-    let RunnerJob { job, hint, lease, .. } = rj;
+    let RunnerJob { job, lease, .. } = rj;
     let resume_span = helix_obs::span(helix_obs::layer::SERVE, "runner.resume")
         .track(format!("tenant-{}", job.tenant))
         .tenant(job.tenant.as_str())
@@ -342,7 +327,7 @@ fn run_iteration(inner: &Arc<ServiceInner>, rj: RunnerJob) {
     // moment the iteration actually starts.
     let queue_wait = job.enqueued.elapsed().as_nanos() as Nanos;
     let started = Instant::now();
-    let mut driver = SessionDriver::new(&mut session, &job.wf).with_hint(hint).require_core();
+    let mut driver = SessionDriver::new(&mut session, &job.wf).require_core();
     // The owned lease in `lease` is this driver's base token.
     driver.grant_core();
     let step = loop {
@@ -357,17 +342,8 @@ fn run_iteration(inner: &Arc<ServiceInner>, rj: RunnerJob) {
     let mut entered_execute = false;
     let result = match step {
         Ok(Step::Ready(prepared)) => {
-            // Entering the execute phase: publish the snapshot a queued
-            // successor will speculate from (only if one exists — the
-            // snapshot clones the session's statistics maps), then
-            // release the session's ordering hold so the scheduler may
-            // dispatch that successor. Publish-before-mark: a successor
-            // can only be picked after mark_executing, so it never finds
-            // the slot empty.
-            if inner.sched().queue.has_queued_job(job.session_id) {
-                *job.spec_slot.lock().expect("spec slot poisoned") =
-                    Some(driver.session().speculation_snapshot());
-            }
+            // Entering the execute phase: release the session's ordering
+            // hold so the scheduler may dispatch a queued successor.
             inner.sched().queue.mark_executing(job.session_id);
             inner.work.notify_all();
             entered_execute = true;
@@ -385,7 +361,6 @@ fn run_iteration(inner: &Arc<ServiceInner>, rj: RunnerJob) {
     let run_nanos = started.elapsed().as_nanos() as Nanos;
     drop(exec_span);
     drop(resume_span);
-    drop(driver);
     drop(session);
     // Token released here; the budget's notifier promotes core waiters.
     drop(lease);

@@ -43,9 +43,7 @@ use crate::runner::{self, Runner};
 use crate::ticket::{JobOutcome, JobTicket, TicketState};
 use helix_common::timing::Nanos;
 use helix_common::{HelixError, Result, RingLog};
-use helix_core::{
-    IterationReport, Session, SessionConfig, SessionHandles, SpeculationInputs, Workflow,
-};
+use helix_core::{IterationReport, Session, SessionConfig, SessionHandles, Workflow};
 use helix_exec::CoreBudget;
 use helix_storage::EvictionRecord;
 use helix_storage::{DiskProfile, MaterializationCatalog, RecoveryStats};
@@ -429,7 +427,6 @@ impl HelixService {
         Ok(ServiceSession {
             inner: Arc::clone(&self.inner),
             session,
-            spec_slot: Arc::new(Mutex::new(None)),
             session_id,
             tenant: tenant.to_string(),
         })
@@ -528,10 +525,6 @@ impl Drop for HelixService {
 pub struct ServiceSession {
     inner: Arc<ServiceInner>,
     session: Arc<Mutex<Session>>,
-    /// Speculation-snapshot mailbox shared with this session's jobs: an
-    /// iteration entering execution publishes here; its successor takes
-    /// it and plans ahead while the incumbent still runs.
-    spec_slot: Arc<Mutex<Option<SpeculationInputs>>>,
     session_id: u64,
     tenant: String,
 }
@@ -570,7 +563,6 @@ impl ServiceSession {
                 tenant_max_concurrent: cap,
                 session_id: self.session_id,
                 session: Arc::clone(&self.session),
-                spec_slot: Arc::clone(&self.spec_slot),
                 wf,
                 ticket: Arc::clone(&ticket),
                 enqueued: Instant::now(),

@@ -38,7 +38,7 @@
 //! * **safe deprecation** — [`release`](MaterializationCatalog::release)
 //!   removes one tenant's claim and deletes the file only when no owner
 //!   remains. Consumers pin planned loads up front via
-//!   [`claim_if_present`](MaterializationCatalog::claim_if_present)
+//!   [`claim_and_pin_if_present`](MaterializationCatalog::claim_and_pin_if_present)
 //!   (atomic; failure = replan), so one tenant's iteration can never
 //!   delete an artifact another tenant's in-flight plan depends on;
 //! * **quota eviction** — [`evict_owned`](MaterializationCatalog::evict_owned)
@@ -987,8 +987,11 @@ impl MaterializationCatalog {
     }
 
     /// Materialize `value` under `sig`, recording `owner` in the artifact's
-    /// owner set. Returns `(encoded bytes, write nanoseconds)`. Overwrites
-    /// any previous artifact for the signature (owners accumulate).
+    /// owner set. Returns `(encoded bytes, measured write nanoseconds)`.
+    /// Overwrites any previous artifact for the signature (owners
+    /// accumulate). This is [`stage_owned`](Self::stage_owned) followed
+    /// at once by [`complete_stage`](Self::complete_stage), so a failed
+    /// write leaves no entry behind.
     pub fn store_owned(
         &self,
         sig: Signature,
@@ -997,22 +1000,8 @@ impl MaterializationCatalog {
         iteration: u64,
         value: &Value,
     ) -> Result<(u64, Nanos)> {
-        let encoded = encode_value(value);
-        let bytes = encoded.len() as u64;
-        let file = format!("{}.hxm", sig.to_hex());
-        let path = self.root.join(&file);
-        // Artifact writes are atomic too: concurrent stores of the same
-        // signature (two tenants finishing the same node) each rename a
-        // private temp file into place — readers never see a torn file.
-        let tmp =
-            self.root.join(format!("{}.tmp-{}", file, UNIQUE.fetch_add(1, Ordering::Relaxed)));
-        let (io_result, write_nanos) = self.disk.run_write(bytes, || {
-            std::fs::write(&tmp, &encoded)?;
-            std::fs::rename(&tmp, &path)
-        });
-        io_result?;
-        self.register_entry(sig, owner, node_name, iteration, file, bytes, write_nanos, None);
-        self.journal_commit(&[JournalOp::Upsert(sig)])?;
+        let (bytes, _, frame) = self.stage_owned(sig, owner, node_name, iteration, value)?;
+        let write_nanos = self.complete_stage(sig, &frame)?;
         Ok((bytes, write_nanos))
     }
 
@@ -1039,23 +1028,47 @@ impl MaterializationCatalog {
         let encoded = Arc::new(encode_value(value));
         let bytes = encoded.len() as u64;
         let write_nanos = self.disk.write_target(bytes);
-        let file = format!("{}.hxm", sig.to_hex());
-        self.register_entry(
-            sig,
-            owner,
-            node_name,
-            iteration,
-            file,
+        let mut inner = self.inner.lock();
+        // Owners and writers accumulate across re-stores of the same
+        // signature.
+        let (prior_owners, prior_writers) = inner
+            .entries
+            .get(&sig)
+            .map(|e| (e.owners().to_vec(), e.writers().to_vec()))
+            .unwrap_or_default();
+        inner.remove_entry(sig);
+        let mut entry = CatalogEntry {
+            signature: sig.to_hex(),
+            file: format!("{}.hxm", sig.to_hex()),
             bytes,
+            node_name: node_name.to_string(),
+            created_iteration: iteration,
             write_nanos,
-            Some(Arc::clone(&encoded)),
-        );
+            measured_load_nanos: None,
+            owners: (!prior_owners.is_empty()).then_some(prior_owners),
+            writers: (!prior_writers.is_empty()).then_some(prior_writers),
+        };
+        entry.add_owner(owner);
+        entry.add_writer(owner);
+        let owners = entry.owners().to_vec();
+        inner.total_bytes += bytes;
+        inner.credit(&owners, bytes);
+        inner.entries.insert(sig, entry);
+        inner.pending.insert(sig, Arc::clone(&encoded));
+        let stats = inner.stats.entry(owner.to_string()).or_default();
+        stats.stores += 1;
+        stats.stored_bytes += bytes;
         Ok((bytes, write_nanos, encoded))
     }
 
     /// Land a staged write: the throttled temp-write + atomic rename a
     /// background writer performs off the critical path. Returns the
     /// measured write time (zero when the stage was already stale).
+    /// Concurrent stores of the same signature (two tenants finishing the
+    /// same node) each rename a private temp file into place, so readers
+    /// never see a torn file. A failed write withdraws a still-current
+    /// stage exactly as [`release`](Self::release) would, so the index
+    /// never keeps an entry whose file could not be written.
     ///
     /// Staleness is detected by `Arc` identity against the pending map:
     /// if the entry was released, quota-evicted, or re-stored between
@@ -1065,8 +1078,8 @@ impl MaterializationCatalog {
     /// — a newer writer for the signature overwrites the same path, and
     /// a file nobody ends up referencing is swept at the next open.
     /// Crucially, this path never unlinks: deciding "orphan" here and
-    /// deleting outside the lock could destroy a concurrent
-    /// `store_owned`'s freshly renamed artifact for the same signature.
+    /// deleting outside the lock could destroy a concurrent store's
+    /// freshly renamed artifact for the same signature.
     pub fn complete_stage(&self, sig: Signature, encoded: &Arc<Vec<u8>>) -> Result<Nanos> {
         let fresh = |inner: &Inner| match inner.pending.get(&sig) {
             Some(current) => Arc::ptr_eq(current, encoded),
@@ -1084,7 +1097,13 @@ impl MaterializationCatalog {
             std::fs::write(&tmp, encoded.as_slice())?;
             std::fs::rename(&tmp, &path)
         });
-        io_result?;
+        if let Err(err) = io_result {
+            let mut inner = self.inner.lock();
+            if fresh(&inner) {
+                inner.remove_entry(sig);
+            }
+            return Err(err.into());
+        }
         let landed = {
             let mut inner = self.inner.lock();
             if fresh(&inner) {
@@ -1126,53 +1145,6 @@ impl MaterializationCatalog {
         self.inner.lock().pending.len()
     }
 
-    /// Shared index bookkeeping for `store_owned` and `stage_owned`.
-    #[allow(clippy::too_many_arguments)]
-    fn register_entry(
-        &self,
-        sig: Signature,
-        owner: &str,
-        node_name: &str,
-        iteration: u64,
-        file: String,
-        bytes: u64,
-        write_nanos: Nanos,
-        pending: Option<Arc<Vec<u8>>>,
-    ) {
-        let mut inner = self.inner.lock();
-        // Owners and writers accumulate across re-stores of the same
-        // signature.
-        let (prior_owners, prior_writers) = inner
-            .entries
-            .get(&sig)
-            .map(|e| (e.owners().to_vec(), e.writers().to_vec()))
-            .unwrap_or_default();
-        inner.remove_entry(sig);
-        let mut entry = CatalogEntry {
-            signature: sig.to_hex(),
-            file,
-            bytes,
-            node_name: node_name.to_string(),
-            created_iteration: iteration,
-            write_nanos,
-            measured_load_nanos: None,
-            owners: (!prior_owners.is_empty()).then_some(prior_owners),
-            writers: (!prior_writers.is_empty()).then_some(prior_writers),
-        };
-        entry.add_owner(owner);
-        entry.add_writer(owner);
-        let owners = entry.owners().to_vec();
-        inner.total_bytes += bytes;
-        inner.credit(&owners, bytes);
-        inner.entries.insert(sig, entry);
-        if let Some(encoded) = pending {
-            inner.pending.insert(sig, encoded);
-        }
-        let stats = inner.stats.entry(owner.to_string()).or_default();
-        stats.stores += 1;
-        stats.stored_bytes += bytes;
-    }
-
     /// Load the artifact for `sig` (solo owner), recording the measured
     /// load time. Returns `(value, load nanoseconds)`.
     pub fn load(&self, sig: Signature) -> Result<(Value, Nanos)> {
@@ -1197,10 +1169,10 @@ impl MaterializationCatalog {
     /// producer's later deprecation (`release`) must not delete it, and
     /// its bytes count against the loader's quota. Planned loads are
     /// normally claimed earlier, at plan time
-    /// ([`claim_if_present`](Self::claim_if_present)); this is the
-    /// belt-and-braces path for direct `load_for` callers. The claim is
-    /// applied in memory immediately and persisted at the next journal
-    /// commit (loads stay write-free on the hot path).
+    /// ([`claim_and_pin_if_present`](Self::claim_and_pin_if_present));
+    /// this is the belt-and-braces path for direct `load_for` callers.
+    /// The claim is applied in memory immediately and persisted at the
+    /// next journal commit (loads stay write-free on the hot path).
     pub fn load_for(&self, sig: Signature, owner: &str) -> Result<(Value, Nanos, bool)> {
         let (file, bytes, cross, staged) = {
             let inner = self.inner.lock();
@@ -1229,10 +1201,9 @@ impl MaterializationCatalog {
         // The remembered value *exactly* equals `estimate_load_nanos` for
         // the same size (no rounding), so an entry's planning cost is
         // identical before and after its first load — deterministic `l_i`
-        // across reruns, worker counts, and pipelining modes, and no
-        // spurious speculation read-set mismatch at the first-load
-        // boundary (wall-clock still pays the real, throttled cost
-        // above). The planner applies its own `max(1)` floor.
+        // across reruns, worker counts, and pipelining modes (wall-clock
+        // still pays the real, throttled cost above). The planner applies
+        // its own `max(1)` floor.
         let load_nanos = self.disk.estimate_load_nanos(bytes);
         {
             let mut inner = self.inner.lock();
@@ -1267,45 +1238,23 @@ impl MaterializationCatalog {
         Ok((value, load_nanos, cross))
     }
 
-    /// Atomically pin `sig` into `owner`'s working set if it still
-    /// exists: adds a lifecycle claim (and the quota charge) under the
-    /// catalog lock and returns `true`; returns `false` when the
-    /// artifact is gone.
+    /// Atomically claim `sig` into `owner`'s working set and take one
+    /// transient pin on it, if it still exists: adds a lifecycle claim
+    /// (and the quota charge) under the catalog lock and returns `true`;
+    /// returns `false` when the artifact is gone.
     ///
     /// Sessions call this for every `Load` in a freshly computed plan,
     /// which closes the plan-to-execution race: once claimed, another
     /// tenant's `release` only drops *its* claim and quota eviction
     /// skips co-owned artifacts, so the bytes survive until this owner
-    /// releases them. A `false` means the plan raced a deletion — the
-    /// caller replans (the node falls back to `Compute`).
-    pub fn claim_if_present(&self, sig: Signature, owner: &str) -> bool {
-        let mut inner = self.inner.lock();
-        let mut claim: Option<u64> = None;
-        let present = match inner.entries.get_mut(&sig) {
-            None => false,
-            Some(entry) => {
-                if !entry.is_owned_by(owner) {
-                    entry.add_owner(owner);
-                    claim = Some(entry.bytes);
-                }
-                true
-            }
-        };
-        if let Some(bytes) = claim {
-            // Only a new claim drifts from the journal.
-            inner.dirty.insert(sig);
-            inner.credit(&[owner.to_string()], bytes);
-        }
-        present
-    }
-
-    /// [`claim_if_present`](Self::claim_if_present) that also takes one
-    /// transient pin on the artifact — claim and pin land under a
-    /// *single* lock hold, so there is no window in which a concurrent
+    /// releases them. Claim and pin land under a *single* lock hold, so
+    /// there is no window in which a concurrent
     /// [`evict_global`](Self::evict_global) can observe the artifact as
-    /// claimed-but-unpinned and delete it out from under the plan.
-    /// Sessions use this for every planned `Load`; the matching unpins
-    /// are released when the prepared iteration retires.
+    /// claimed-but-unpinned and delete it out from under the plan. A
+    /// `false` means the plan raced a deletion — the caller replans (the
+    /// node falls back to `Compute`). The matching unpins
+    /// ([`unpin_many`](Self::unpin_many)) are released when the prepared
+    /// iteration retires.
     pub fn claim_and_pin_if_present(&self, sig: Signature, owner: &str) -> bool {
         let mut inner = self.inner.lock();
         let mut claim: Option<u64> = None;
@@ -1328,20 +1277,6 @@ impl MaterializationCatalog {
             inner.credit(&[owner.to_string()], bytes);
         }
         present
-    }
-
-    /// Remove a deprecated artifact unconditionally (single-tenant
-    /// semantics). Returns whether anything was removed.
-    pub fn purge(&self, sig: Signature) -> Result<bool> {
-        let removed = self.inner.lock().remove_entry(sig);
-        match removed {
-            Some(file) => {
-                self.remove_file(&file)?;
-                self.journal_commit(&[JournalOp::Remove(sig)])?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
     }
 
     /// Drop `owner`'s claim on `sig`; the artifact (and file) goes away
@@ -1431,7 +1366,7 @@ impl MaterializationCatalog {
         protected: &HashSet<Signature>,
     ) -> Result<u64> {
         // Selection and index removal happen under ONE lock hold: a
-        // concurrent `claim_if_present`/`load_for` that co-owns an
+        // concurrent `claim_and_pin_if_present`/`load_for` that co-owns an
         // artifact either lands before (the entry is no longer
         // sole-owned and is skipped) or after (the entry is already
         // gone and the claim fails, so the claimant replans) — never in
@@ -1793,7 +1728,8 @@ mod tests {
         assert!(e1 > e0, "a store changes byte accounting");
         let _ = cat.used_bytes_for_many(&["alice".to_string()]);
         assert_eq!(cat.dirty_epoch(), e1, "byte reads leave it unchanged");
-        assert!(cat.claim_if_present(sig, "bob"));
+        assert!(cat.claim_and_pin_if_present(sig, "bob"));
+        cat.unpin_many(&[sig]);
         let e2 = cat.dirty_epoch();
         assert!(e2 > e1, "a claim credits the co-owner");
         assert!(!cat.release(sig, "bob").unwrap(), "alice still owns the entry");
@@ -1809,7 +1745,6 @@ mod tests {
         let sig = Signature::of_str("never-stored");
         assert!(cat.load(sig).is_err());
         assert_eq!(cat.estimated_load_nanos(sig), None);
-        assert!(!cat.purge(sig).unwrap());
         assert!(!cat.release(sig, "anyone").unwrap());
     }
 
@@ -1827,14 +1762,29 @@ mod tests {
     }
 
     #[test]
-    fn purge_frees_space_and_files() {
+    fn failed_store_leaves_no_entry_behind() {
+        let cat = temp_catalog();
+        cat.store(Signature::of_str("kept"), "k", 0, &scalar(1.0)).unwrap();
+        let before = cat.total_bytes();
+        std::fs::remove_dir_all(cat.root()).unwrap();
+        let sig = Signature::of_str("unwritable");
+        assert!(cat.store(sig, "n", 0, &scalar(2.0)).is_err());
+        assert!(!cat.contains(sig), "a failed write withdraws its stage");
+        assert_eq!(cat.total_bytes(), before);
+        assert_eq!(cat.pending_stages(), 0);
+    }
+
+    #[test]
+    fn release_frees_space_and_files() {
         let cat = temp_catalog();
         let a = Signature::of_str("a");
         let b = Signature::of_str("b");
         cat.store(a, "a", 0, &scalar(1.0)).unwrap();
         cat.store(b, "b", 0, &scalar(2.0)).unwrap();
         assert_eq!(cat.len(), 2);
-        assert!(cat.purge(a).unwrap());
+        let file = cat.entry(a).unwrap().file;
+        assert!(cat.release(a, SOLO_OWNER).unwrap());
+        assert!(!cat.root().join(file).exists());
         assert_eq!(cat.len(), 1);
         assert!(!cat.contains(a));
         assert!(cat.contains(b));
@@ -1991,7 +1941,8 @@ mod tests {
         cat.store_owned(old_solo, "alice", "old", 0, &scalar(1.0)).unwrap();
         cat.store_owned(new_solo, "alice", "new", 7, &scalar(2.0)).unwrap();
         cat.store_owned(popular, "alice", "pop", 0, &scalar(3.0)).unwrap();
-        assert!(cat.claim_if_present(popular, "bob"), "reader claim raises the refcount");
+        assert!(cat.claim_and_pin_if_present(popular, "bob"), "reader claim raises the refcount");
+        cat.unpin_many(&[popular]);
 
         let freed = cat.evict_global("trigger", 1, &HashSet::new()).unwrap();
         assert!(freed > 0);
@@ -2150,8 +2101,10 @@ mod tests {
         let sig = Signature::of_str("claimed");
         cat.store_owned(sig, "alice", "n", 0, &scalar(5.0)).unwrap();
 
-        // Bob's planner claims the artifact before executing.
-        assert!(cat.claim_if_present(sig, "bob"));
+        // Bob's planner claims the artifact before executing; the
+        // claim alone (pin dropped) must keep it alive.
+        assert!(cat.claim_and_pin_if_present(sig, "bob"));
+        cat.unpin_many(&[sig]);
         assert!(cat.used_bytes_for("bob") > 0, "claims charge the claimant's quota");
 
         // Alice deprecates and quota-evicts: the artifact must survive.
@@ -2166,10 +2119,11 @@ mod tests {
         assert!(cross);
 
         // A claim on a vanished signature reports failure (replan cue).
-        assert!(!cat.claim_if_present(Signature::of_str("never-there"), "bob"));
+        assert!(!cat.claim_and_pin_if_present(Signature::of_str("never-there"), "bob"));
         // Idempotent re-claim does not double-charge.
         let charged = cat.used_bytes_for("bob");
-        assert!(cat.claim_if_present(sig, "bob"));
+        assert!(cat.claim_and_pin_if_present(sig, "bob"));
+        cat.unpin_many(&[sig]);
         assert_eq!(cat.used_bytes_for("bob"), charged);
     }
 
@@ -2497,7 +2451,6 @@ mod tests {
         for _ in 0..5 {
             assert!(cat.claim_and_pin_if_present(sig, "alice"));
             cat.unpin_many(&[sig]);
-            assert!(cat.claim_if_present(sig, "alice"));
             cat.load_for(sig, "alice").unwrap();
             cat.commit_staged().unwrap();
         }

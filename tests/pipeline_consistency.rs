@@ -192,7 +192,7 @@ fn deep_write_backlog_across_iterations_matches_serial() {
         .collect();
 
     let mut pipelined = Session::new(config).unwrap();
-    let reports = pipelined.run_pipelined(&sequence).unwrap();
+    let reports: Vec<_> = sequence.iter().map(|wf| pipelined.run(wf).unwrap()).collect();
     let pipelined_outputs: Vec<Option<f64>> =
         reports.iter().map(|r| r.output_scalar("c").and_then(Scalar::as_f64)).collect();
     assert_eq!(serial_outputs, pipelined_outputs);
