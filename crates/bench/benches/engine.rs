@@ -1,32 +1,24 @@
-//! Engine infrastructure benches: cache policies (HELIX eager vs LRU,
-//! paper §5.4) and worker-pool scaling (the substrate of Figure 7b).
+//! Engine infrastructure benches: HELIX's eager cache eviction (paper
+//! §5.4) and worker-pool scaling (the substrate of Figure 7b).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use helix_data::{Scalar, Value};
-use helix_exec::{CachePolicy, ValueCache, WorkerPool};
+use helix_data::{ByteSized, Scalar, Value};
+use helix_exec::{SharedValueCache, WorkerPool};
 use std::hint::black_box;
 use std::sync::Arc;
 
-fn bench_cache_policies(c: &mut Criterion) {
+fn bench_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
     let payload: Arc<Value> = Arc::new(Value::Scalar(Scalar::Text("x".repeat(10_000))));
+    let size = payload.byte_size();
     group.bench_function("eager_put_evict", |b| {
         b.iter(|| {
-            let mut cache = ValueCache::new(CachePolicy::Eager);
+            let cache = SharedValueCache::new();
             for i in 0..100u32 {
-                cache.put(i, Arc::clone(&payload));
+                cache.put(i, Arc::clone(&payload), size);
                 if i >= 2 {
                     cache.evict(i - 2);
                 }
-            }
-            black_box(cache.resident_bytes())
-        })
-    });
-    group.bench_function("lru_put_under_budget", |b| {
-        b.iter(|| {
-            let mut cache = ValueCache::new(CachePolicy::Lru { budget_bytes: 50_000 });
-            for i in 0..100u32 {
-                cache.put(i, Arc::clone(&payload));
             }
             black_box(cache.resident_bytes())
         })
@@ -53,5 +45,5 @@ fn bench_pool_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache_policies, bench_pool_scaling);
+criterion_group!(benches, bench_cache, bench_pool_scaling);
 criterion_main!(benches);

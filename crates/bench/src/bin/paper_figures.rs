@@ -7,6 +7,7 @@
 //!
 //! `--quick` runs the small workload configurations (CI-sized);
 //! `--json DIR` additionally writes machine-readable results per figure.
+//! The exit status is nonzero when any requested experiment failed.
 
 use helix_bench::experiments::{self, ExperimentConfig};
 use helix_bench::report;
@@ -71,6 +72,7 @@ fn main() {
     )
     .ok();
 
+    let mut failures = 0usize;
     // fig5/fig6 share the same underlying runs.
     let needs_fig5 = requested.iter().any(|r| r == "fig5" || r == "fig6");
     let fig5 = if needs_fig5 {
@@ -78,6 +80,7 @@ fn main() {
             Ok(f) => Some(f),
             Err(e) => {
                 eprintln!("fig5/fig6 failed: {e}");
+                failures += 1;
                 None
             }
         }
@@ -120,10 +123,17 @@ fn main() {
             Ok(text) => {
                 writeln!(out, "{text}").ok();
             }
-            Err(e) => eprintln!("{exp} failed: {e}"),
+            Err(e) => {
+                eprintln!("{exp} failed: {e}");
+                failures += 1;
+            }
         }
     }
     if let Some(f) = &fig5 {
         write_json(json_dir.as_deref(), "fig5", f);
+    }
+    if failures > 0 {
+        eprintln!("{failures} experiment(s) failed");
+        std::process::exit(1);
     }
 }

@@ -6,9 +6,14 @@
 //! all `Compute`/`Load` nodes whose parents have finished form the ready
 //! frontier ([`helix_flow::dag::Frontier`]) and are dispatched together
 //! onto [`WorkerPool`] worker threads, overlapping independent branches
-//! and hiding `Load` I/O behind `Compute` work. With `workers == 1` the
-//! scheduler runs inline on the caller thread — the serial baseline pays
-//! no thread or channel overhead.
+//! and hiding `Load` I/O behind `Compute` work.
+//!
+//! One driver runs every width. At dispatch width 1 it pops the frontier
+//! only when nothing is in flight, so nodes execute one at a time in the
+//! min-id topological order of [`Dag::topo_order`] — the paper's serial
+//! loop — and the pool runs each node on the caller's thread, with no
+//! worker thread or channel. At width ≥ 2 every ready node is queued at
+//! once, so a finishing worker never waits on the coordinator.
 //!
 //! Parallel execution preserves the paper's semantics *exactly*:
 //!
@@ -32,11 +37,6 @@
 //!   serial run would, and the error reported is the earliest one in
 //!   topological order — at any worker count.
 //!
-//! The one carve-out is the Spark-style LRU ablation baseline
-//! (`CachePolicy::Lru`): budget-driven eviction depends on access
-//! recency, which is inherently timing-dependent under concurrency, so
-//! LRU iterations always run on the inline serial driver.
-//!
 //! Every node's wall time is still measured — the `c_i`/`l_i` statistics
 //! the next iteration's optimizer consumes.
 
@@ -48,8 +48,8 @@ use helix_common::timing::{duration_to_nanos, timed, Nanos};
 use helix_common::{HelixError, Result};
 use helix_data::{ByteSized, Value};
 use helix_exec::{
-    interval_union_nanos, CachePolicy, CoreBudget, IterationMetrics, NodeRun, RunState,
-    SharedMemoryTracker, SharedValueCache, WorkerPool,
+    interval_union_nanos, CoreBudget, IterationMetrics, NodeRun, RunState, SharedMemoryTracker,
+    SharedValueCache, WorkerPool,
 };
 use helix_flow::oep::State;
 use helix_flow::{Dag, NodeId};
@@ -78,8 +78,6 @@ pub struct EngineParams<'a> {
     /// operators (the paper's "cluster size", Figure 7b). Under a core
     /// budget this is a ceiling, not an entitlement.
     pub workers: usize,
-    /// Cache eviction policy.
-    pub cache_policy: CachePolicy,
     /// Iteration number (for catalog bookkeeping).
     pub iteration: u64,
     /// Session seed (mixed with node signatures for per-node RNG streams).
@@ -95,11 +93,9 @@ pub struct EngineParams<'a> {
     /// Dead-band fraction for elective decisions (0 = paper-strict).
     pub hysteresis: f64,
     /// Enable the pipelined lanes (prefetched loads; staged background
-    /// writes when `writer` is present). Forced off for the LRU ablation
-    /// baseline, whose eviction is timing-coupled. Outputs, catalog
-    /// contents, and plan-relevant metrics stay byte-identical either
-    /// way — pipelining moves I/O off the critical path, never changes
-    /// decisions.
+    /// writes when `writer` is present). Outputs, catalog contents, and
+    /// plan-relevant metrics stay byte-identical either way — pipelining
+    /// moves I/O off the critical path, never changes decisions.
     pub pipeline: bool,
     /// The session's background materialization writer (the write lane).
     /// `None` or `pipeline == false` keeps the serial inline writes.
@@ -154,7 +150,6 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         strategy,
         budget_bytes,
         workers,
-        cache_policy,
         iteration,
         seed,
         tenant,
@@ -171,9 +166,6 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
     assert_eq!(sigs.len(), n);
 
     let order = dag.topo_order()?;
-    // The pipelined lanes are off for the LRU ablation (its eviction is
-    // timing-coupled; see `dispatch_width` below for the same reason).
-    let pipelined = pipeline && !matches!(cache_policy, CachePolicy::Lru { .. });
     let epoch = Instant::now();
     // Load lane: fetch every plan-time-claimed Load concurrently from
     // iteration start, instead of lazily when the frontier reaches it —
@@ -183,7 +175,7 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         .filter(|id| states[id.ix()] == State::Load)
         .map(|id| (*id, sigs[id.ix()]))
         .collect();
-    let prefetcher = (pipelined && !load_jobs.is_empty())
+    let prefetcher = (pipeline && !load_jobs.is_empty())
         .then(|| Prefetcher::new(catalog, tenant, epoch, load_jobs));
     // Data-parallel operators get the full nominal width, but under a
     // core budget their extra threads must be leased from the same tokens
@@ -193,26 +185,20 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         Some(budget) => WorkerPool::budgeted(workers, Arc::clone(budget)),
         None => WorkerPool::new(workers),
     };
-    let cache = SharedValueCache::new(cache_policy);
+    let cache = SharedValueCache::new();
     let memory = SharedMemoryTracker::new();
 
     // Any set of simultaneously runnable nodes is an antichain, so the
     // DAG's width caps useful scheduler threads: a pure chain runs
-    // inline, a diamond gets two threads, regardless of the requested
-    // width. Level width is a cheap proxy for the true (Dilworth) width —
-    // exact on layered workflow DAGs, at worst slightly under-provisioned
-    // (jobs then queue; never a deadlock). Data-parallel operators still
-    // see the full `workers` through `ExecContext::pool`.
-    //
-    // The LRU ablation baseline always runs inline: budget-driven LRU
-    // eviction depends on access recency, which concurrent workers would
-    // make timing-dependent — it could even evict a parent value an
-    // unscheduled child still needs. Eager (HELIX) scope-driven eviction
-    // has no such coupling and parallelizes freely.
-    let dispatch_width = if matches!(cache_policy, CachePolicy::Lru { .. }) {
-        1
-    } else {
-        workers.min(level_width(dag)?)
+    // on the caller's thread, a diamond gets two threads, regardless of
+    // the requested width. Level width is a cheap proxy for the true
+    // (Dilworth) width — exact on layered workflow DAGs, at worst slightly
+    // under-provisioned (jobs then queue; never a deadlock). Data-parallel
+    // operators still see the full `workers` through `ExecContext::pool`.
+    let dispatch_width = workers.min(level_width(dag)?);
+    let dispatch_pool = match core_budget {
+        Some(budget) => WorkerPool::budgeted(dispatch_width, Arc::clone(budget)),
+        None => WorkerPool::new(dispatch_width),
     };
 
     let runner = NodeRunner {
@@ -243,7 +229,7 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         tenant,
         prev_elective,
         hysteresis,
-        writer: if pipelined { writer } else { None },
+        writer: if pipeline { writer } else { None },
         prefetch: prefetcher.as_ref(),
         load_spans: Vec::new(),
         protected: sigs.iter().copied().collect(),
@@ -266,17 +252,6 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
         first_error: None,
     };
 
-    let run_driver = |coord: &mut Coordinator<'_>| {
-        if dispatch_width <= 1 {
-            run_inline(dag, &runner, coord);
-        } else {
-            let dispatch_pool = match core_budget {
-                Some(budget) => WorkerPool::budgeted(dispatch_width, Arc::clone(budget)),
-                None => WorkerPool::new(dispatch_width),
-            };
-            run_parallel(dag, &runner, coord, &dispatch_pool);
-        }
-    };
     match prefetcher.as_ref() {
         Some(p) => std::thread::scope(|scope| {
             // Lane count respects the core budget: the first lane rides
@@ -292,7 +267,7 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
             for _ in 0..lane_count {
                 scope.spawn(|| p.run_lane());
             }
-            run_driver(&mut coord);
+            run_driver(dag, &runner, &mut coord, &dispatch_pool);
             // Normal completion: every load was fetched and taken, halt
             // is a no-op. Error path: stop the lanes from *starting*
             // loads the serial engine would never have reached —
@@ -303,7 +278,7 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
             p.halt();
             drop(extra_lease);
         }),
-        None => run_driver(&mut coord),
+        None => run_driver(dag, &runner, &mut coord, &dispatch_pool),
     }
 
     if let Some((_, err)) = coord.first_error.take() {
@@ -341,36 +316,15 @@ pub fn execute(params: EngineParams<'_>) -> Result<ExecOutcome> {
     })
 }
 
-/// Serial driver: pop the minimum-id ready node and run it inline — the
-/// exact order of the paper's topological loop (min-id Kahn), with zero
-/// thread or channel overhead.
-fn run_inline(
-    dag: &Dag<crate::operator::NodeSpec>,
-    runner: &NodeRunner<'_>,
-    coord: &mut Coordinator<'_>,
-) {
-    let mut frontier = dag.frontier();
-    while let Some(node) = frontier.pop_min() {
-        if coord.states[node.ix()] == State::Prune {
-            coord.record_prune(node);
-        } else {
-            let completion = runner.run_node(node);
-            coord.on_completion(completion);
-            if coord.first_error.is_some() {
-                return;
-            }
-        }
-        frontier.complete(node);
-        coord.commit_finalizes();
-        if coord.first_error.is_some() {
-            return;
-        }
-    }
-}
-
-/// Parallel driver: keep every ready node in flight on the pool, retire
+/// The engine driver: keep ready nodes in flight on the pool, retire
 /// completions as they arrive, commit finalize decisions in serial order.
-fn run_parallel(
+///
+/// At pool width 1 a sweep stops at the first submitted node, so nodes
+/// run one at a time in min-id topological order and every finalize
+/// commits right after the node that triggers it. Queueing whole sweeps
+/// instead would run a later-readied low-id node after higher-id nodes
+/// already queued, delaying its parents' evictions.
+fn run_driver(
     dag: &Dag<crate::operator::NodeSpec>,
     runner: &NodeRunner<'_>,
     coord: &mut Coordinator<'_>,
@@ -379,17 +333,20 @@ fn run_parallel(
     pool.with_executor(
         |node: NodeId| runner.run_node(node),
         |executor| {
+            let one_at_a_time = pool.workers() == 1;
             let mut frontier = dag.frontier();
             let mut in_flight = 0usize;
             loop {
-                // Dispatch (or immediately retire) everything ready;
-                // retiring a prune node can ready more, which `pop_min`
-                // picks up in the same sweep.
+                // Dispatch (or immediately retire) everything ready — at
+                // width 1, only up to the first submitted node; retiring
+                // a prune node can ready more, which `pop_min` picks up
+                // in the same sweep.
                 let sweep_span = helix_obs::span(helix_obs::layer::ENGINE, "dispatch")
                     .tenant(runner.tenant)
                     .iteration(runner.iteration);
                 let mut dispatched = 0u64;
-                while let Some(node) = frontier.pop_min() {
+                while !(one_at_a_time && in_flight > 0) {
+                    let Some(node) = frontier.pop_min() else { break };
                     // After an error at topo position p, keep dispatching
                     // only nodes *before* p: the serial loop would have
                     // executed all of them before stopping, so the error
@@ -933,7 +890,7 @@ mod tests {
     use super::*;
     use crate::track::{chain_signatures, ExecEnv};
     use helix_data::Scalar;
-    use helix_exec::RunState;
+    use helix_exec::{Phase, RunState};
     use helix_storage::DiskProfile;
 
     fn chain_wf() -> Workflow {
@@ -997,7 +954,6 @@ mod tests {
             strategy,
             budget_bytes: u64::MAX,
             workers,
-            cache_policy: CachePolicy::Eager,
             iteration: 0,
             seed: 7,
             tenant: "",
@@ -1061,7 +1017,6 @@ mod tests {
             strategy: MatStrategy::Opt,
             budget_bytes: u64::MAX,
             workers: 1,
-            cache_policy: CachePolicy::Eager,
             iteration: 1,
             seed: 7,
             tenant: "",
@@ -1096,7 +1051,6 @@ mod tests {
             strategy: MatStrategy::Opt,
             budget_bytes: 0, // nothing elective fits
             workers: 1,
-            cache_policy: CachePolicy::Eager,
             iteration: 0,
             seed: 7,
             tenant: "",
@@ -1130,7 +1084,6 @@ mod tests {
                 strategy: MatStrategy::Opt,
                 budget_bytes: u64::MAX,
                 workers,
-                cache_policy: CachePolicy::Eager,
                 iteration: 0,
                 seed: 7,
                 tenant: "",
@@ -1168,7 +1121,6 @@ mod tests {
             strategy: MatStrategy::Never,
             budget_bytes: u64::MAX,
             workers: 1,
-            cache_policy: CachePolicy::Eager,
             iteration: 0,
             seed: 7,
             tenant: "",
@@ -1211,7 +1163,6 @@ mod tests {
             strategy: MatStrategy::Never,
             budget_bytes: u64::MAX,
             workers: 1,
-            cache_policy: CachePolicy::Eager,
             iteration: 0,
             seed: 1,
             tenant: "",
@@ -1329,7 +1280,6 @@ mod tests {
                 strategy: MatStrategy::Never,
                 budget_bytes: u64::MAX,
                 workers,
-                cache_policy: CachePolicy::Eager,
                 iteration: 0,
                 seed: 7,
                 tenant: "",
@@ -1387,7 +1337,6 @@ mod tests {
                 strategy: MatStrategy::Always,
                 budget_bytes: u64::MAX,
                 workers,
-                cache_policy: CachePolicy::Eager,
                 iteration: 0,
                 seed: 7,
                 tenant: "",
@@ -1408,6 +1357,37 @@ mod tests {
             "failed iteration must leave the same catalog at any worker count"
         );
         assert_eq!(catalog_sigs[0].len(), 1, "exactly slow_ok's artifact survives");
+    }
+
+    #[test]
+    fn single_worker_runs_nodes_in_min_id_topological_order() {
+        // s0 → a → b, a later source s3, then join(b, s3). Queueing whole
+        // frontier sweeps would run s3 (readied with s0) before a and b;
+        // the serial order runs the s0 chain first.
+        let ran = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let logged = |name: &'static str| {
+            let ran = Arc::clone(&ran);
+            move |_: &[Arc<Value>], _: &crate::operator::ExecContext| {
+                ran.lock().unwrap().push(name);
+                Ok(Value::Scalar(Scalar::F64(1.0)))
+            }
+        };
+        let mut wf = Workflow::new("order");
+        let udf = logged("s0");
+        let s0 = wf.source("s0", 1, move |ctx| udf(&[], ctx));
+        let a = wf.udf_collection("a", Phase::Dpr, &[s0], 1, logged("a"));
+        let b = wf.udf_collection("b", Phase::Dpr, &[a], 1, logged("b"));
+        let udf = logged("s3");
+        let s3 = wf.source("s3", 1, move |ctx| udf(&[], ctx));
+        let join = wf.udf_collection("join", Phase::Dpr, &[b, s3], 1, logged("join"));
+        wf.output(join);
+        let catalog = MaterializationCatalog::open_temp(DiskProfile::unthrottled()).unwrap();
+        run_all_compute_with_workers(&wf, &catalog, MatStrategy::Never, 1);
+        let dag = wf.dag();
+        let expected: Vec<&str> =
+            dag.topo_order().unwrap().into_iter().map(|id| dag.payload(id).name.as_str()).collect();
+        assert_eq!(*ran.lock().unwrap(), expected);
+        assert_eq!(expected, ["s0", "a", "b", "s3", "join"]);
     }
 
     #[test]
@@ -1440,7 +1420,6 @@ mod tests {
                 strategy: MatStrategy::Always,
                 budget_bytes: u64::MAX,
                 workers,
-                cache_policy: CachePolicy::Eager,
                 iteration: 0,
                 seed: 7,
                 tenant: "",

@@ -31,7 +31,7 @@ use helix_common::hash::Signature;
 use helix_common::timing::Nanos;
 use helix_common::Result;
 use helix_data::{Scalar, Value};
-use helix_exec::{CachePolicy, CoreBudget, IterationMetrics};
+use helix_exec::{CoreBudget, IterationMetrics};
 use helix_flow::oep::State;
 use helix_storage::catalog::SOLO_OWNER;
 use helix_storage::{DiskProfile, MaterializationCatalog};
@@ -73,8 +73,6 @@ pub struct SessionConfig {
     /// seeds can safely share one catalog — seed-dependent artifacts are
     /// keyed apart, seed-independent ones still collide and are reused.
     pub seed: Option<u64>,
-    /// In-memory cache policy (HELIX's eager eviction by default).
-    pub cache_policy: CachePolicy,
     /// Compute-time estimate for operators never measured before.
     pub default_compute_nanos: Nanos,
     /// Hysteresis dead band for Algorithm 2's elective decisions
@@ -109,7 +107,6 @@ impl SessionConfig {
             disk: DiskProfile::unthrottled(),
             catalog_dir: None,
             seed: None,
-            cache_policy: CachePolicy::Eager,
             default_compute_nanos: 1_000_000,
             mat_hysteresis: 0.0,
             pipeline: true,
@@ -531,11 +528,9 @@ impl Session {
 
         // The write lane exists once per session (its drain spans
         // iteration boundaries); created on the first iteration that can
-        // actually store. The gate mirrors the engine's: under the LRU
-        // ablation the lanes are off, so a writer would idle unused.
+        // actually store.
         if self.config.pipeline
             && self.config.strategy != MatStrategy::Never
-            && !matches!(self.config.cache_policy, CachePolicy::Lru { .. })
             && self.writer.is_none()
         {
             self.writer =
@@ -554,7 +549,6 @@ impl Session {
             strategy: self.config.strategy,
             budget_bytes: self.config.storage_budget_bytes,
             workers: self.config.workers,
-            cache_policy: self.config.cache_policy,
             iteration: self.iteration,
             seed: self.env.seed,
             tenant: &self.tenant,

@@ -4,56 +4,12 @@
 //! workflow execution" and reports per-iteration peak and average. We
 //! sample the cache's resident bytes after every operator event instead —
 //! event-driven sampling is strictly finer-grained than 1 Hz polling for
-//! workloads of our scale and keeps the tracker deterministic.
+//! workloads of our scale. At one worker the samples are taken in the
+//! serial topological order, so the series is deterministic; at wider
+//! widths peak and average may vary with completion order.
 
-/// Accumulates memory samples for one iteration.
-#[derive(Clone, Debug, Default)]
-pub struct MemoryTracker {
-    peak: u64,
-    sum: u128,
-    samples: u64,
-}
-
-impl MemoryTracker {
-    /// Fresh tracker.
-    pub fn new() -> MemoryTracker {
-        MemoryTracker::default()
-    }
-
-    /// Record an observation of resident bytes.
-    pub fn record(&mut self, resident_bytes: u64) {
-        self.peak = self.peak.max(resident_bytes);
-        self.sum += resident_bytes as u128;
-        self.samples += 1;
-    }
-
-    /// Highest observation.
-    pub fn peak_bytes(&self) -> u64 {
-        self.peak
-    }
-
-    /// Mean observation (0 when no samples).
-    pub fn avg_bytes(&self) -> u64 {
-        if self.samples == 0 {
-            0
-        } else {
-            (self.sum / self.samples as u128) as u64
-        }
-    }
-
-    /// Number of samples taken.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Reset for the next iteration.
-    pub fn reset(&mut self) {
-        *self = MemoryTracker::default();
-    }
-}
-
-/// Thread-safe twin of [`MemoryTracker`] for the parallel engine, where
-/// every worker records a sample after each cache mutation.
+/// Accumulates memory samples for one iteration. Every engine worker
+/// records a sample after each cache mutation, so the tracker is shared.
 ///
 /// The peak is a lock-free `fetch_max`; the running sum needs 128-bit
 /// accumulation (no atomic u128 on stable), so it sits behind a mutex —
@@ -136,35 +92,8 @@ mod tests {
     }
 
     #[test]
-    fn peak_and_average() {
-        let mut t = MemoryTracker::new();
-        t.record(100);
-        t.record(300);
-        t.record(200);
-        assert_eq!(t.peak_bytes(), 300);
-        assert_eq!(t.avg_bytes(), 200);
-        assert_eq!(t.samples(), 3);
-    }
-
-    #[test]
-    fn empty_tracker_is_zero() {
-        let t = MemoryTracker::new();
-        assert_eq!(t.peak_bytes(), 0);
-        assert_eq!(t.avg_bytes(), 0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut t = MemoryTracker::new();
-        t.record(1_000_000);
-        t.reset();
-        assert_eq!(t.peak_bytes(), 0);
-        assert_eq!(t.samples(), 0);
-    }
-
-    #[test]
     fn no_overflow_on_large_samples() {
-        let mut t = MemoryTracker::new();
+        let t = SharedMemoryTracker::new();
         for _ in 0..1000 {
             t.record(u64::MAX / 2);
         }

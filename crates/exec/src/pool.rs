@@ -69,11 +69,11 @@ impl WorkerPool {
     /// unbudgeted pool always grants in full.
     fn lease_extra(&self, wanted: usize) -> (usize, Option<CoreLease<'_>>) {
         match &self.budget {
-            None => (wanted, None),
-            Some(budget) => {
+            Some(budget) if wanted > 0 => {
                 let lease = budget.try_acquire(wanted);
                 (lease.tokens(), Some(lease))
             }
+            _ => (wanted, None),
         }
     }
 
@@ -199,7 +199,11 @@ impl WorkerPool {
     /// backed by the caller's own token (the coordinator mostly blocks in
     /// [`Executor::recv`] while workers run), and each extra worker needs
     /// a token leased from the shared budget. A tight budget degrades to a
-    /// single worker thread, never to zero.
+    /// single worker, never to zero.
+    ///
+    /// A single worker is never a thread: like [`map`](Self::map) at
+    /// width 1, [`Executor::recv`] then runs the oldest queued job on the
+    /// caller's thread and returns its output.
     pub fn with_executor<J, O, W, C, R>(&self, worker: W, coordinator: C) -> R
     where
         J: Send,
@@ -212,7 +216,11 @@ impl WorkerPool {
             None => self.workers,
             Some(_) => 1 + extra,
         };
-        let queue = JobQueue::new();
+        let queue = TaskQueue::new();
+        if spawn_count == 1 {
+            let executor = Executor { queue: &queue, completions: Completions::Inline(&worker) };
+            return coordinator(&executor);
+        }
         let (tx, rx) = channel::<O>();
         let result = std::thread::scope(|scope| {
             for _ in 0..spawn_count {
@@ -234,7 +242,7 @@ impl WorkerPool {
                 });
             }
             drop(tx);
-            let executor = Executor { queue: &queue, results: rx };
+            let executor = Executor { queue: &queue, completions: Completions::Threads(rx) };
             // Close via a drop guard, not a trailing statement: if the
             // coordinator panics, parked workers must still be released
             // or the scope's implicit join would hang forever.
@@ -249,7 +257,7 @@ impl WorkerPool {
 /// Closes the job queue when a worker thread unwinds (see
 /// [`WorkerPool::with_executor`]).
 struct PanicGuard<'a, J> {
-    queue: &'a JobQueue<J>,
+    queue: &'a TaskQueue<J>,
 }
 
 impl<J> Drop for PanicGuard<'_, J> {
@@ -263,7 +271,7 @@ impl<J> Drop for PanicGuard<'_, J> {
 /// Closes the job queue when the coordinator finishes — by return or by
 /// panic.
 struct CloseOnDrop<'a, J> {
-    queue: &'a JobQueue<J>,
+    queue: &'a TaskQueue<J>,
 }
 
 impl<J> Drop for CloseOnDrop<'_, J> {
@@ -275,8 +283,16 @@ impl<J> Drop for CloseOnDrop<'_, J> {
 /// Handle passed to the coordinator closure of
 /// [`WorkerPool::with_executor`].
 pub struct Executor<'a, J, O> {
-    queue: &'a JobQueue<J>,
-    results: Receiver<O>,
+    queue: &'a TaskQueue<J>,
+    completions: Completions<'a, J, O>,
+}
+
+/// Where [`Executor::recv`] gets its next completion.
+enum Completions<'a, J, O> {
+    /// Worker threads send each output as they finish.
+    Threads(Receiver<O>),
+    /// No worker thread: the caller runs the oldest queued job itself.
+    Inline(&'a dyn Fn(J) -> O),
 }
 
 impl<J, O> Executor<'_, J, O> {
@@ -290,10 +306,18 @@ impl<J, O> Executor<'_, J, O> {
     /// Panics if every worker died without producing one (a worker
     /// panicked mid-job, which also closes the queue and releases the
     /// rest); the originating panic is re-raised when the scope joins.
+    /// With no worker threads the job runs here, so its panic unwinds
+    /// straight through the caller; calling `recv` with nothing
+    /// submitted panics too.
     pub fn recv(&self) -> O {
-        self.results
-            .recv()
-            .expect("a worker panicked with completions outstanding; aborting executor")
+        match &self.completions {
+            Completions::Threads(results) => results
+                .recv()
+                .expect("a worker panicked with completions outstanding; aborting executor"),
+            Completions::Inline(worker) => {
+                worker(self.queue.try_pop().expect("recv with no job submitted"))
+            }
+        }
     }
 }
 
@@ -352,25 +376,17 @@ impl<J> TaskQueue<J> {
         }
     }
 
+    /// The next job if one is waiting; never blocks.
+    fn try_pop(&self) -> Option<J> {
+        self.state.lock().expect("queue poisoned").jobs.pop_front()
+    }
+
     /// Close the queue: consumers drain what is left, then see `None`.
     pub fn close(&self) {
         self.state.lock().expect("queue poisoned").closed = true;
         self.ready.notify_all();
     }
-
-    /// Jobs currently waiting (not including any being executed).
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").jobs.len()
-    }
-
-    /// Whether no jobs are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
-
-/// Backwards-compatible internal alias.
-type JobQueue<J> = TaskQueue<J>;
 
 #[cfg(test)]
 mod tests {
@@ -598,6 +614,39 @@ mod tests {
             },
         );
         assert_eq!(total, (0..10u32).map(|j| j * 2).sum(), "single leased-free worker suffices");
+    }
+
+    #[test]
+    fn single_worker_executor_runs_jobs_on_the_caller_thread() {
+        // The two pools that get no worker thread: an unbudgeted width of
+        // 1, and a budgeted width of 4 whose budget is drained.
+        let budget = Arc::new(CoreBudget::new(1));
+        let _hold = budget.acquire_one();
+        let caller = std::thread::current().id();
+        for pool in [WorkerPool::new(1), WorkerPool::budgeted(4, Arc::clone(&budget))] {
+            let outputs: Vec<(u32, bool)> = pool.with_executor(
+                |job: u32| (job, std::thread::current().id() == caller),
+                |executor| {
+                    for job in 0..5 {
+                        executor.submit(job);
+                    }
+                    (0..5).map(|_| executor.recv()).collect()
+                },
+            );
+            assert_eq!(outputs, (0..5).map(|job| (job, true)).collect::<Vec<_>>());
+            assert_eq!(pool.with_executor(|job: u8| job, |_executor| 42u8), 42, "zero jobs");
+            let outcome = std::panic::catch_unwind(|| {
+                pool.with_executor(
+                    |job: u32| if job == 1 { panic!("boom inline") } else { job },
+                    |executor| {
+                        executor.submit(0);
+                        executor.submit(1);
+                        executor.recv() + executor.recv()
+                    },
+                )
+            });
+            assert!(outcome.is_err(), "an inline job's panic must reach the caller");
+        }
     }
 
     #[test]

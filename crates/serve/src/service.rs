@@ -389,10 +389,10 @@ impl HelixService {
 
     /// Open an iterative session for a registered tenant.
     ///
-    /// The caller's `config` chooses workers/strategy/reuse/cache policy
-    /// *and its own seed* — seeds are folded into signature provenance,
-    /// so distinct-seed tenants share exactly the artifacts that
-    /// genuinely match. A config that leaves the seed unset inherits the
+    /// The caller's `config` chooses workers/strategy/reuse *and its own
+    /// seed* — seeds are folded into signature provenance, so
+    /// distinct-seed tenants share exactly the artifacts that genuinely
+    /// match. A config that leaves the seed unset inherits the
     /// service default ([`ServiceConfig::seed`]). The service still
     /// overrides what sharing requires: catalog and disk (the shared
     /// store), storage budget (the tenant's quota), and hysteresis.

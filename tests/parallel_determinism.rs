@@ -153,8 +153,9 @@ fn run_trace<W: Workload>(
 
 fn assert_workers_equivalent<W: Workload, F: Fn() -> W>(make: F, flavor: Flavor) {
     let (baseline, baseline_sigs) = run_trace(make(), 1, &flavor, false);
-    // Workers = 1 exercises the pipelined lanes on the inline driver;
-    // 2/4/8 exercise them against frontier scheduling.
+    // Workers = 1 exercises the pipelined lanes with one node in flight
+    // on the caller's thread; 2/4/8 exercise them against concurrent
+    // frontier scheduling.
     for workers in [1, 2, 4, 8] {
         let (parallel, parallel_sigs) = run_trace(make(), workers, &flavor, true);
         assert_eq!(baseline.len(), parallel.len());
